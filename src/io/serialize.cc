@@ -99,6 +99,32 @@ Status CheckHeader(std::FILE* fp, const char magic[4],
   return Status::OK();
 }
 
+/// Guards an allocation sized from a file header: a payload of `rows` x
+/// `cols` elements of `elem_bytes` each cannot be larger than what is
+/// left in the file, so a garbage size field fails with a Status instead
+/// of a huge allocation. The byte count is computed overflow-safe. A
+/// stream whose size cannot be read (not seekable) is not checked.
+Status CheckPayloadFits(std::FILE* fp, uint64_t rows, uint64_t cols,
+                        uint64_t elem_bytes, const std::string& path,
+                        const char* what) {
+  const long here = std::ftell(fp);
+  if (here < 0 || std::fseek(fp, 0, SEEK_END) != 0) return Status::OK();
+  const long file_end = std::ftell(fp);
+  if (std::fseek(fp, here, SEEK_SET) != 0) {
+    return Status::Internal(path + ": seek failed");
+  }
+  if (file_end < 0) return Status::OK();
+  uint64_t needed = 0;
+  if (__builtin_mul_overflow(rows, cols, &needed) ||
+      __builtin_mul_overflow(needed, elem_bytes, &needed) ||
+      needed > static_cast<uint64_t>(file_end - here)) {
+    return Status::InvalidArgument(
+        StrFormat("%s: corrupt %s (payload exceeds file size)", path.c_str(),
+                  what));
+  }
+  return Status::OK();
+}
+
 Status WriteMatrixBody(std::FILE* fp, const linalg::Matrix& m) {
   const int32_t rows = m.rows();
   const int32_t cols = m.cols();
@@ -118,6 +144,9 @@ Result<linalg::Matrix> ReadMatrixBody(std::FILE* fp,
   if (rows < 0 || cols < 0) {
     return Status::InvalidArgument(path + ": negative matrix dimensions");
   }
+  UHSCM_RETURN_NOT_OK(CheckPayloadFits(fp, static_cast<uint64_t>(rows),
+                                       static_cast<uint64_t>(cols),
+                                       sizeof(float), path, "matrix header"));
   std::vector<float> data(static_cast<size_t>(rows) * cols);
   const size_t bytes = data.size() * sizeof(float);
   UHSCM_RETURN_NOT_OK(ReadBytes(fp, data.data(), bytes));
@@ -218,6 +247,15 @@ Result<std::unique_ptr<core::HashingNetwork>> LoadHashingNetwork(
   if (input_dim <= 0 || hidden1 <= 0 || hidden2 <= 0 || bits <= 0) {
     return Status::InvalidArgument(path + ": corrupt architecture header");
   }
+  // The network allocates its weight matrices from these dims before a
+  // single weight is read, so each must fit in the rest of the file.
+  const int32_t dims[] = {input_dim, hidden1, hidden2, bits};
+  for (int layer = 0; layer < 3; ++layer) {
+    UHSCM_RETURN_NOT_OK(CheckPayloadFits(
+        file.fp, static_cast<uint64_t>(dims[layer]),
+        static_cast<uint64_t>(dims[layer + 1]), sizeof(float), path,
+        "architecture header"));
+  }
   core::HashingNetworkOptions options;
   options.hidden1 = hidden1;
   options.hidden2 = hidden2;
@@ -258,25 +296,9 @@ Result<index::PackedCodes> ReadCodesBody(std::FILE* fp,
     return Status::InvalidArgument(path + ": corrupt code header");
   }
   const size_t words_per_code = static_cast<size_t>((bits + 63) / 64);
-  // Guard the allocation against corrupt headers: the payload cannot be
-  // larger than what is actually left in the file, so a garbage size
-  // field fails with a Status instead of a multi-GB bad_alloc.
-  {
-    const long here = std::ftell(fp);
-    if (here >= 0 && std::fseek(fp, 0, SEEK_END) == 0) {
-      const long file_end = std::ftell(fp);
-      if (std::fseek(fp, here, SEEK_SET) != 0) {
-        return Status::Internal(path + ": seek failed");
-      }
-      const uint64_t needed =
-          static_cast<uint64_t>(size) * words_per_code * sizeof(uint64_t);
-      if (file_end >= 0 &&
-          needed > static_cast<uint64_t>(file_end - here)) {
-        return Status::InvalidArgument(
-            path + ": corrupt code header (payload exceeds file size)");
-      }
-    }
-  }
+  UHSCM_RETURN_NOT_OK(CheckPayloadFits(fp, static_cast<uint64_t>(size),
+                                       words_per_code, sizeof(uint64_t), path,
+                                       "code header"));
   std::vector<uint64_t> words(static_cast<size_t>(size) * words_per_code);
   const size_t bytes = words.size() * sizeof(uint64_t);
   UHSCM_RETURN_NOT_OK(ReadBytes(fp, words.data(), bytes));

@@ -1,6 +1,8 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <utility>
 
 #include "common/status.h"
@@ -32,41 +34,11 @@ void CloseRequestSpans(const std::vector<PendingRequest>& requests,
 
 }  // namespace
 
-/// One dispatched per-k group. `queries`, `k`, `trace`, `requests`, and
-/// `queue_waits` are written once by the flush thread before the first
-/// dispatch and read-only afterwards; the resolution state below `mu` is
-/// what the primary callback, retry re-dispatches, the hedge timer, and
-/// the hedge callback race over.
-struct Batcher::GroupState {
-  index::PackedCodes queries;
-  int k = 0;
-  obs::TraceContext trace;
+/// One dispatched per-k group: written by the flush thread before the
+/// dispatch, then owned by the engine callback that resolves it.
+struct Batcher::Group {
   std::vector<PendingRequest> requests;
   std::vector<double> queue_waits;
-  /// Earliest member deadline — retries must finish before it.
-  std::chrono::steady_clock::time_point min_deadline =
-      std::chrono::steady_clock::time_point::max();
-  bool has_deadline = false;
-
-  /// One class for every group's lock; two groups' locks are never held
-  /// together, and only the jitter lock nests beneath this one.
-  Mutex mu{"batcher.group", 24};
-  /// A completion won (promises set) or the final failure was recorded.
-  bool resolved UHSCM_GUARDED_BY(mu) = false;
-  /// Dispatch attempts (primary + hedge) whose callback hasn't returned.
-  int outstanding UHSCM_GUARDED_BY(mu) = 0;
-  /// Primary dispatch attempts made so far.
-  int attempts UHSCM_GUARDED_BY(mu) = 0;
-  /// Hedge already issued (or the hedge slot consumed) — at most one.
-  bool hedged UHSCM_GUARDED_BY(mu) = false;
-  /// Cleared when routing found every replica dead: retrying cannot
-  /// help until a respawn lands, so the group fails immediately.
-  bool retryable UHSCM_GUARDED_BY(mu) = true;
-  /// The replica the latest primary attempt landed on — the hedge
-  /// excludes it.
-  int last_replica UHSCM_GUARDED_BY(mu) = -1;
-  /// The group's inflight slot was released (exactly once).
-  bool settled UHSCM_GUARDED_BY(mu) = false;
 };
 
 Batcher::Batcher(Router* router, const BatcherOptions& options)
@@ -83,19 +55,10 @@ Batcher::Batcher(Router* router, const BatcherOptions& options)
                  ? options.queue_capacity
                  : static_cast<size_t>(std::max(1, options.max_batch)) * 8 *
                        static_cast<size_t>(
-                           router->replicas()->num_replicas())),
-      jitter_rng_(options.jitter_seed) {
+                           router->replicas()->num_replicas())) {
   options_.max_batch = std::max(1, options_.max_batch);
   options_.timeout_us = std::max<int64_t>(1, options_.timeout_us);
-  options_.max_attempts = std::max(1, options_.max_attempts);
-  options_.retry_backoff_us = std::max<int64_t>(0, options_.retry_backoff_us);
-  options_.hedge_budget = std::clamp(options_.hedge_budget, 0.0, 1.0);
-  options_.hedge_delay_us = std::max<int64_t>(0, options_.hedge_delay_us);
   flush_thread_ = std::thread([this] { FlushLoop(); });
-  if (options_.hedge_budget > 0.0 &&
-      router_->replicas()->num_replicas() > 1) {
-    hedge_thread_ = std::thread([this] { HedgeLoop(); });
-  }
 }
 
 Batcher::~Batcher() { Drain(); }
@@ -191,8 +154,6 @@ void Batcher::FlushBatch(std::vector<PendingRequest> batch, bool by_timeout) {
     groups[live[i].k].push_back(i);
   }
 
-  const bool hedging = options_.hedge_budget > 0.0 &&
-                       router_->replicas()->num_replicas() > 1;
   for (auto& [k, members] : groups) {
     // The group's spans (batch assembly, route, the engine's search)
     // hang under the first sampled request in the group — one traced
@@ -206,34 +167,29 @@ void Batcher::FlushBatch(std::vector<PendingRequest> batch, bool by_timeout) {
       }
     }
 
-    auto state = std::make_shared<GroupState>();
-    state->k = k;
-    state->trace = group_ctx;
-    state->requests.reserve(members.size());
-    state->queue_waits.reserve(members.size());
-    std::vector<uint64_t> words;
-    words.reserve(members.size() * static_cast<size_t>(words_per_code_));
+    auto group = std::make_shared<Group>();
+    group->requests.reserve(members.size());
+    group->queue_waits.reserve(members.size());
+    index::PackedCodes queries;
     {
       obs::ScopedSpan batch_span(&recorder, group_ctx, "batch");
       batch_span.AddAttr("size", static_cast<int64_t>(members.size()));
       batch_span.AddAttr("k", k);
+      std::vector<uint64_t> words;
+      words.reserve(members.size() * static_cast<size_t>(words_per_code_));
       for (size_t i : members) {
         words.insert(words.end(), live[i].words.begin(),
                      live[i].words.end());
-        state->queue_waits.push_back(std::chrono::duration<double>(
+        group->queue_waits.push_back(std::chrono::duration<double>(
                                          flush_time - live[i].admit_time)
                                          .count());
-        if (live[i].has_deadline()) {
-          state->has_deadline = true;
-          state->min_deadline = std::min(state->min_deadline,
-                                         live[i].deadline);
-        }
-        state->requests.push_back(std::move(live[i]));
+        group->requests.push_back(std::move(live[i]));
       }
-      state->queries = index::PackedCodes::FromRawWords(
-          static_cast<int>(state->requests.size()), bits_, std::move(words));
+      queries = index::PackedCodes::FromRawWords(
+          static_cast<int>(group->requests.size()), bits_, std::move(words));
     }
 
+    QueryEngine* engine = nullptr;
     {
       obs::ScopedSpan route_span(&recorder, group_ctx, "route");
       // End-to-end backpressure: don't let batches pile up in the
@@ -242,265 +198,46 @@ void Batcher::FlushBatch(std::vector<PendingRequest> batch, bool by_timeout) {
       // front door, and the router always sees genuine (bounded)
       // per-replica load. The wait is part of the route span: time spent
       // here is time spent finding a replica with capacity. The slot is
-      // held until the group *settles* (wins, finally fails, and every
-      // retry/hedge callback has returned), so retries and hedges ride
-      // the original slot instead of multiplying inflight work.
-      UniqueLock lock(inflight_mu_);
-      while (inflight_batches_.load(std::memory_order_relaxed) >=
-             max_inflight_batches_) {
-        inflight_cv_.wait(lock);
-      }
-      inflight_batches_.fetch_add(1, std::memory_order_relaxed);
-    }
-    groups_dispatched_.fetch_add(1, std::memory_order_relaxed);
-    state->attempts = 1;
-    state->outstanding = 1;
-    DispatchGroup(state, /*is_hedge=*/false);
-    if (hedging) ScheduleHedge(state);
-  }
-}
-
-void Batcher::DispatchGroup(const std::shared_ptr<GroupState>& group,
-                            bool is_hedge) {
-  const int r = router_->Route();
-  if (r < 0) {
-    // Every replica is dead: nothing a retry could route to until a
-    // respawn lands, so the group fails immediately (the ISSUE's
-    // all-dead fast-fail) instead of burning backoff on a lost cause.
-    {
-      MutexLock lock(group->mu);
-      group->retryable = false;
-    }
-    OnGroupCompletion(
-        group, is_hedge,
-        Status::Unavailable("no live replica — every replica is dead"), {});
-    return;
-  }
-  {
-    MutexLock lock(group->mu);
-    group->last_replica = r;
-  }
-  QueryEngine* engine = router_->replicas()->replica(r);
-  std::shared_ptr<GroupState> self = group;
-  engine->SubmitBatch(
-      index::PackedCodes(group->queries), group->k, group->trace,
-      [this, self, is_hedge](
-          Status status, std::vector<std::vector<index::Neighbor>> results) {
-        OnGroupCompletion(self, is_hedge, std::move(status),
-                          std::move(results));
-      });
-}
-
-void Batcher::OnGroupCompletion(
-    const std::shared_ptr<GroupState>& group, bool is_hedge, Status status,
-    std::vector<std::vector<index::Neighbor>> results) {
-  enum class Action { kNone, kWin, kFail, kRetry };
-  Action action = Action::kNone;
-  bool settle = false;
-  std::chrono::microseconds backoff{0};
-  {
-    MutexLock lock(group->mu);
-    group->outstanding -= 1;
-    if (status.ok()) {
-      // First successful completion wins; a later one (the hedge's
-      // loser — byte-identical results anyway) is discarded here.
-      if (!group->resolved) {
-        group->resolved = true;
-        action = Action::kWin;
-      }
-    } else if (!group->resolved && group->outstanding == 0) {
-      // The last in-flight attempt failed. Retry on a surviving replica
-      // unless attempts are exhausted, routing already proved every
-      // replica dead, or the backoff would overrun the group's earliest
-      // deadline — a retry that cannot finish in time only wastes a
-      // replica.
-      bool can_retry =
-          group->retryable && group->attempts < options_.max_attempts;
-      if (can_retry) {
-        backoff = RetryBackoff(group->attempts);
-        if (group->has_deadline &&
-            std::chrono::steady_clock::now() + backoff >=
-                group->min_deadline) {
-          can_retry = false;
+      // held until the engine's callback has resolved the group.
+      {
+        UniqueLock lock(inflight_mu_);
+        while (inflight_batches_.load(std::memory_order_relaxed) >=
+               max_inflight_batches_) {
+          inflight_cv_.wait(lock);
         }
+        inflight_batches_.fetch_add(1, std::memory_order_relaxed);
       }
-      if (can_retry) {
-        group->attempts += 1;
-        group->outstanding += 1;
-        action = Action::kRetry;
-      } else {
-        group->resolved = true;
-        action = Action::kFail;
-      }
+      engine = router_->Pick();
     }
-    // The group settles — releases its inflight slot, exactly once —
-    // when it is resolved and the last outstanding callback has
-    // returned.
-    settle = group->resolved && group->outstanding == 0 && !group->settled;
-    if (settle) group->settled = true;
+    engine->SubmitBatch(
+        std::move(queries), k, group_ctx,
+        [this, group](std::vector<std::vector<index::Neighbor>> results) {
+          OnGroupDone(group.get(), std::move(results));
+        });
   }
+}
 
+void Batcher::OnGroupDone(Group* group,
+                          std::vector<std::vector<index::Neighbor>> results) {
   // Counters are recorded *before* the promises resolve: a client woken
   // by its future must already see its outcome reflected in stats().
-  if (action == Action::kWin) {
-    const auto now = std::chrono::steady_clock::now();
-    CloseRequestSpans(group->requests, now);
-    if (is_hedge) pipeline_stats_.RecordHedgeWin();
-    for (size_t i = 0; i < group->requests.size(); ++i) {
-      PendingRequest& request = group->requests[i];
-      pipeline_stats_.RecordRequestDone(
-          group->queue_waits[i],
-          std::chrono::duration<double>(now - request.admit_time).count());
-      request.promise.set_value(
-          SearchResponse{Status::OK(), std::move(results[i])});
-    }
-  } else if (action == Action::kFail) {
-    // Every member's future resolves with the failure status — never
-    // dropped — and the rejection is counted.
-    CloseRequestSpans(group->requests, std::chrono::steady_clock::now());
-    pipeline_stats_.RecordRejected(static_cast<int>(group->requests.size()));
-    for (PendingRequest& request : group->requests) {
-      request.promise.set_value(SearchResponse{status, {}});
-    }
-  } else if (action == Action::kRetry) {
-    pipeline_stats_.RecordRetry();
-    // The backoff runs on whichever thread delivered the failure (the
-    // flush thread for an inline dead-engine rejection, the dead
-    // engine's dispatch thread for a mid-stream kill) — bounded by
-    // max_attempts doublings of a sub-millisecond base, so it cannot
-    // stall shutdown.
-    if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-    DispatchGroup(group, /*is_hedge=*/false);
+  const auto now = std::chrono::steady_clock::now();
+  CloseRequestSpans(group->requests, now);
+  for (size_t i = 0; i < group->requests.size(); ++i) {
+    PendingRequest& request = group->requests[i];
+    pipeline_stats_.RecordRequestDone(
+        group->queue_waits[i],
+        std::chrono::duration<double>(now - request.admit_time).count());
+    request.promise.set_value(
+        SearchResponse{Status::OK(), std::move(results[i])});
   }
 
-  if (settle) {
-    MutexLock lock(inflight_mu_);
-    inflight_batches_.fetch_sub(1, std::memory_order_relaxed);
-    // Notify under the lock: Drain destroys this cv as soon as it sees
-    // zero in flight, so the signal must complete before the waiter can
-    // reacquire inflight_mu_ and return.
-    inflight_cv_.notify_all();
-  }
-}
-
-std::chrono::microseconds Batcher::RetryBackoff(int attempt) {
-  const double base =
-      static_cast<double>(options_.retry_backoff_us) *
-      static_cast<double>(int64_t{1} << std::min(std::max(attempt - 1, 0), 10));
-  double jitter;
-  {
-    MutexLock lock(jitter_mu_);
-    jitter = jitter_rng_.Uniform(0.5, 1.5);
-  }
-  return std::chrono::microseconds(
-      static_cast<int64_t>(std::max(0.0, base * jitter)));
-}
-
-std::chrono::nanoseconds Batcher::HedgeDelay() {
-  if (options_.hedge_delay_us > 0) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::microseconds(options_.hedge_delay_us));
-  }
-  // Auto mode: hedge when the batch has been in flight longer than the
-  // 99th-percentile search — the live histogram the traced requests
-  // feed. Until it has data (tracing off, or cold start), fall back to
-  // the replicas' completion-latency p99, then to a fixed 1ms.
-  const obs::HistogramSnapshot stage =
-      obs::MetricsRegistry::Global().GetHistogram("stage.search_ns")
-          ->Snapshot();
-  if (!stage.empty()) {
-    return std::chrono::nanoseconds(stage.ValueAtPercentile(99.0));
-  }
-  const ServeStatsSnapshot agg = router_->replicas()->AggregatedStats();
-  if (!agg.latency_hist.empty()) {
-    return std::chrono::nanoseconds(agg.latency_hist.ValueAtPercentile(99.0));
-  }
-  return std::chrono::milliseconds(1);
-}
-
-void Batcher::ScheduleHedge(const std::shared_ptr<GroupState>& group) {
-  const auto when = std::chrono::steady_clock::now() + HedgeDelay();
-  {
-    MutexLock lock(hedge_mu_);
-    if (hedge_stop_) return;
-    hedge_queue_.emplace(when, std::weak_ptr<GroupState>(group));
-  }
-  hedge_cv_.notify_all();
-}
-
-void Batcher::FireHedge(const std::shared_ptr<GroupState>& group) {
-  ReplicaSet* replicas = router_->replicas();
-  QueryEngine* engine = nullptr;
-  {
-    MutexLock lock(group->mu);
-    if (group->resolved || group->hedged || group->outstanding == 0) return;
-    // The budget bounds *issued* hedges against dispatched groups, so
-    // fast traffic (whose timers expire unresolved-never) consumes none
-    // of it and a straggler burst cannot duplicate more than the
-    // configured fraction of the stream.
-    const auto dispatched = static_cast<double>(
-        groups_dispatched_.load(std::memory_order_relaxed));
-    const auto issued = static_cast<double>(
-        hedges_issued_.load(std::memory_order_relaxed));
-    if (issued + 1.0 > options_.hedge_budget * dispatched) return;
-    // The hedge must land somewhere else: a live replica other than the
-    // one the primary attempt is stuck on, least-loaded among them.
-    int pick = -1;
-    int64_t best = 0;
-    for (int r = 0; r < replicas->num_replicas(); ++r) {
-      if (r == group->last_replica) continue;
-      if (replicas->replica(r)->killed()) continue;
-      const int64_t load = replicas->Inflight(r);
-      if (pick < 0 || load < best) {
-        best = load;
-        pick = r;
-      }
-    }
-    if (pick < 0) return;
-    group->hedged = true;
-    group->outstanding += 1;
-    engine = replicas->replica(pick);
-  }
-  hedges_issued_.fetch_add(1, std::memory_order_relaxed);
-  pipeline_stats_.RecordHedge();
-  std::shared_ptr<GroupState> self = group;
-  engine->SubmitBatch(
-      index::PackedCodes(group->queries), group->k, group->trace,
-      [this, self](Status status,
-                   std::vector<std::vector<index::Neighbor>> results) {
-        OnGroupCompletion(self, /*is_hedge=*/true, std::move(status),
-                          std::move(results));
-      });
-}
-
-void Batcher::HedgeLoop() {
-  UniqueLock lock(hedge_mu_);
-  while (!hedge_stop_) {
-    if (hedge_queue_.empty()) {
-      while (!hedge_stop_ && hedge_queue_.empty()) hedge_cv_.wait(lock);
-      continue;
-    }
-    // Sleep until the earliest timer is due, a stop interrupts, or a
-    // notify lands (a new entry re-derives `when` on the next pass).
-    const auto when = hedge_queue_.begin()->first;
-    bool timed_out = false;
-    while (!hedge_stop_ && !timed_out) {
-      timed_out =
-          hedge_cv_.wait_until(lock, when) == std::cv_status::timeout;
-    }
-    if (hedge_stop_) return;
-    const auto now = std::chrono::steady_clock::now();
-    while (!hedge_queue_.empty() && hedge_queue_.begin()->first <= now) {
-      std::weak_ptr<GroupState> weak = std::move(hedge_queue_.begin()->second);
-      hedge_queue_.erase(hedge_queue_.begin());
-      lock.unlock();
-      // A group that already resolved (or settled and died) expires
-      // here without firing — that is the hedge's cancellation path.
-      if (std::shared_ptr<GroupState> group = weak.lock()) FireHedge(group);
-      lock.lock();
-      if (hedge_stop_) return;
-    }
-  }
+  MutexLock lock(inflight_mu_);
+  inflight_batches_.fetch_sub(1, std::memory_order_relaxed);
+  // Notify under the lock: Drain destroys this cv as soon as it sees
+  // zero in flight, so the signal must complete before the waiter can
+  // reacquire inflight_mu_ and return.
+  inflight_cv_.notify_all();
 }
 
 void Batcher::Drain() {
@@ -509,22 +246,13 @@ void Batcher::Drain() {
   // Order matters: close first (rejects new work and wakes the flush
   // thread), join the flush thread (its in-hand partial batch is
   // dispatched with real results), then fail whatever never made it out
-  // of the queue, drop not-yet-fired hedges (the timer thread joins so
-  // no new submission can start), and finally wait for every dispatched
-  // group — retries and in-flight hedges included — to settle so no
-  // engine callback can touch this batcher after Drain.
+  // of the queue, and finally wait for every dispatched group's callback
+  // so no engine callback can touch this batcher after Drain.
   queue_.Close();
   if (flush_thread_.joinable()) flush_thread_.join();
   const int failed = queue_.FailPending(
       Status::Unavailable("pipeline drained before the request was served"));
   pipeline_stats_.RecordRejected(failed);
-  {
-    MutexLock lock(hedge_mu_);
-    hedge_stop_ = true;
-    hedge_queue_.clear();
-  }
-  hedge_cv_.notify_all();
-  if (hedge_thread_.joinable()) hedge_thread_.join();
   {
     UniqueLock lock(inflight_mu_);
     while (inflight_batches_.load(std::memory_order_relaxed) != 0) {

@@ -5,13 +5,11 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/annotated_sync.h"
-#include "common/rng.h"
 #include "serve/request_queue.h"
 #include "serve/router.h"
 #include "serve/serve_stats.h"
@@ -39,36 +37,6 @@ struct BatcherOptions {
   /// Submit pushes back on clients — memory stays bounded at any
   /// overload.
   int max_inflight_batches = 0;
-
-  /// Total dispatch attempts per batch (1 = no retries). A batch whose
-  /// replica completes it with Unavailable — a kill landed mid-stream,
-  /// or the engine was already dead when the router's view went stale —
-  /// is re-routed to a surviving replica after a jittered exponential
-  /// backoff, up to this many attempts. Replicas are byte-identical, so
-  /// a retried batch returns exactly what the first attempt would have.
-  int max_attempts = 3;
-  /// Base backoff before attempt 2; doubles per attempt, ±50% jitter
-  /// (seeded — see jitter_seed). Kept small: the failure mode is a dead
-  /// replica, not an overloaded one, so there is nothing to wait out.
-  int64_t retry_backoff_us = 100;
-
-  /// Hedging: fraction of dispatched batches allowed a duplicate
-  /// dispatch (0 = off, clamped to [0,1]). A batch still in flight when
-  /// the hedge delay elapses is re-submitted to a *different* live
-  /// replica; the first completion wins, the loser's results are
-  /// discarded. Caps tail latency when one replica stalls, at a bounded
-  /// duplicate-work cost.
-  double hedge_budget = 0.0;
-  /// When to hedge, microseconds after dispatch. 0 = auto: the live p99
-  /// of the engines' stage.search_ns histogram (falls back to the
-  /// replicas' completion-latency p99, then 1ms, while those are still
-  /// empty) — "slower than the 99th percentile search" is the signal
-  /// that this batch landed on a straggler.
-  int64_t hedge_delay_us = 0;
-
-  /// Seed for the retry-jitter draws, so a test's retry schedule is
-  /// reproducible.
-  uint64_t jitter_seed = 2023;
 };
 
 /// \brief The adaptive-batching stage of the async pipeline: one flush
@@ -89,25 +57,16 @@ struct BatcherOptions {
 ///
 /// **Failure semantics.** A request may carry an absolute deadline; at
 /// flush time overdue requests resolve kDeadlineExceeded without
-/// touching a replica. A dispatched batch that comes back Unavailable
-/// (its replica was killed) is retried on a surviving replica with
-/// jittered exponential backoff — bounded attempts, never past the
-/// batch's earliest deadline. When *every* replica is dead the batch
-/// fails immediately with Unavailable (no retries — there is nothing to
-/// route to until a respawn lands). With a hedge budget set, a batch
-/// still unresolved after the hedge delay is duplicated onto a second
-/// replica, first completion wins. Every path resolves every future
-/// exactly once; retries and hedges never double-complete a promise.
+/// touching a replica. Every future resolves exactly once.
 ///
 /// Shutdown: Drain() (also run by the destructor) closes the queue so
 /// new Submits are rejected with an Unavailable status, lets the flush
 /// thread finish its in-hand batch, completes every request still queued
-/// with a shutdown Status, drops not-yet-fired hedges, and waits for all
-/// dispatched batches (including in-flight hedges) to call back — every
-/// future ever handed out resolves; nothing is dropped. Drain returns
-/// before the engines themselves are torn down (their own Drain joins
-/// dispatch threads and pools), which is the destruction ordering that
-/// makes pipeline exit race-free.
+/// with a shutdown Status, and waits for all dispatched batches to call
+/// back — every future ever handed out resolves; nothing is dropped.
+/// Drain returns before the engines themselves are torn down (their own
+/// Drain joins dispatch threads and pools), which is the destruction
+/// ordering that makes pipeline exit race-free.
 class Batcher {
  public:
   /// The router (and its replica set) must outlive the batcher.
@@ -121,8 +80,8 @@ class Batcher {
   /// mismatches resolve immediately with InvalidArgument). Blocks while
   /// the admission queue is full — backpressure, not queue growth.
   /// `deadline` (absolute; time_point::max() = none) is enforced at
-  /// flush and retry time: an overdue request resolves
-  /// kDeadlineExceeded instead of occupying a replica.
+  /// flush time: an overdue request resolves kDeadlineExceeded instead
+  /// of occupying a replica.
   std::future<SearchResponse> Submit(
       const uint64_t* words, int num_words, int k,
       std::chrono::steady_clock::time_point deadline =
@@ -139,7 +98,7 @@ class Batcher {
   void Drain();
 
   /// Pipeline counters + current queue depth, merged with the replica
-  /// set's aggregated engine counters (cache, updates, epoch, health).
+  /// set's aggregated engine counters (cache, updates, epoch).
   ServeStatsSnapshot stats() const;
 
   /// Zeroes the pipeline counters and every replica's engine stats.
@@ -149,38 +108,19 @@ class Batcher {
   const BatcherOptions& options() const { return options_; }
 
  private:
-  /// One dispatched per-k group: the packed batch plus the resolution
-  /// state machine that retries, hedging, and completion race over.
-  /// Shared by the flush thread, engine callbacks, and the hedge timer;
-  /// defined in the .cc.
-  struct GroupState;
+  /// One dispatched per-k group: its requests and their queue waits,
+  /// kept alive until the engine's callback resolves them. Defined in
+  /// the .cc.
+  struct Group;
 
   void FlushLoop();
   /// Packs one collected batch, expires overdue requests, and
-  /// dispatches per-k groups (plus their hedges).
+  /// dispatches one batch per distinct k.
   void FlushBatch(std::vector<PendingRequest> batch, bool by_timeout);
-  /// Routes and submits one attempt of the group (the caller has
-  /// already counted it in group->outstanding). With every replica dead,
-  /// fails the group immediately.
-  void DispatchGroup(const std::shared_ptr<GroupState>& group, bool is_hedge);
-  /// The single resolution point: first OK completion wins, an
-  /// Unavailable completion retries or finally fails, and the group
-  /// settles (releases its inflight slot) when the last outstanding
-  /// attempt has called back.
-  void OnGroupCompletion(const std::shared_ptr<GroupState>& group,
-                         bool is_hedge, Status status,
-                         std::vector<std::vector<index::Neighbor>> results);
-  /// Queues the group on the hedge timer (weak — a resolved group just
-  /// expires).
-  void ScheduleHedge(const std::shared_ptr<GroupState>& group);
-  /// Issues the hedge attempt if the group is still unresolved, a
-  /// distinct live replica exists, and the budget allows.
-  void FireHedge(const std::shared_ptr<GroupState>& group);
-  void HedgeLoop();
-  /// Resolves the configured (or auto, p99-derived) hedge delay.
-  std::chrono::nanoseconds HedgeDelay();
-  /// Jittered exponential backoff before retry attempt `attempt`+1.
-  std::chrono::microseconds RetryBackoff(int attempt);
+  /// The engine callback: resolves every member's promise with its
+  /// result list and releases the group's inflight slot.
+  void OnGroupDone(Group* group,
+                   std::vector<std::vector<index::Neighbor>> results);
 
   Router* router_;
   BatcherOptions options_;
@@ -195,38 +135,17 @@ class Batcher {
   /// first (joined threads, failed futures, settled groups).
   std::atomic<bool> drained_{false};
   /// Serializes Drain callers; the highest-ranked batcher lock because
-  /// Drain acquires the queue, hedge, and inflight locks beneath it.
+  /// Drain acquires the queue and inflight locks beneath it.
   Mutex drain_mu_{"batcher.drain", 96};
-  /// Per-k groups dispatched to engines that haven't settled (final
-  /// callback not yet returned, hedges included). Drain waits on this so
-  /// no callback can outlive the batcher. Relaxed: both wait loops load
-  /// it under inflight_mu_, and every transition that matters to a
-  /// waiter (add in FlushBatch, sub at settle) also happens under
-  /// inflight_mu_ — the mutex orders the handoff, the atomic only lets
-  /// stats() read the depth lock-free.
+  /// Per-k groups dispatched to engines whose callback has not returned.
+  /// Drain waits on this so no callback can outlive the batcher.
+  /// Relaxed: both wait loops load it under inflight_mu_, and every
+  /// transition that matters to a waiter (add in FlushBatch, sub in
+  /// OnGroupDone) also happens under inflight_mu_ — the mutex orders the
+  /// handoff, the atomic only lets stats() read the depth lock-free.
   std::atomic<int64_t> inflight_batches_{0};
   Mutex inflight_mu_{"batcher.inflight", 28};
   CondVar inflight_cv_;
-
-  /// Hedge budget accounting: groups dispatched vs hedges issued, the
-  /// ratio the budget bounds. Relaxed: monotonic counters; the budget
-  /// check tolerates a momentarily stale ratio (it can only under-issue
-  /// by one hedge, never overrun the budget unboundedly).
-  std::atomic<int64_t> groups_dispatched_{0};
-  std::atomic<int64_t> hedges_issued_{0};
-
-  /// The hedge timer: a deadline-ordered queue of still-inflight groups,
-  /// served by one thread (started only when hedge_budget > 0).
-  Mutex hedge_mu_{"batcher.hedge", 26};
-  CondVar hedge_cv_;
-  std::multimap<std::chrono::steady_clock::time_point,
-                std::weak_ptr<GroupState>>
-      hedge_queue_ UHSCM_GUARDED_BY(hedge_mu_);
-  bool hedge_stop_ UHSCM_GUARDED_BY(hedge_mu_) = false;
-  std::thread hedge_thread_;
-
-  Mutex jitter_mu_{"batcher.jitter", 22};
-  Rng jitter_rng_ UHSCM_GUARDED_BY(jitter_mu_);
 };
 
 }  // namespace uhscm::serve

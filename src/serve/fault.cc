@@ -37,32 +37,22 @@ void FaultInjector::Reset() {
   armed_points_.store(0, std::memory_order_relaxed);
 }
 
-const FaultSpec* FaultInjector::Evaluate(const char* point, int tag) {
+bool FaultInjector::Evaluate(const char* point) {
   MutexLock lock(mu_);
-  // Instance-scoped spec ("point#tag") wins over the bare point name,
-  // so a test can make replica 1 the straggler while the others run
-  // clean.
-  ArmedPoint* armed = nullptr;
-  if (tag >= 0) {
-    auto it = points_.find(std::string(point) + "#" + std::to_string(tag));
-    if (it != points_.end()) armed = &it->second;
+  auto it = points_.find(point);
+  if (it == points_.end()) return false;
+  ArmedPoint& armed = it->second;
+  armed.hits += 1;
+  if (armed.hits <= armed.spec.skip_hits) return false;
+  if (armed.spec.max_fires >= 0 && armed.fires >= armed.spec.max_fires) {
+    return false;
   }
-  if (armed == nullptr) {
-    auto it = points_.find(point);
-    if (it != points_.end()) armed = &it->second;
+  if (armed.spec.probability < 1.0 &&
+      !rng_.Bernoulli(armed.spec.probability)) {
+    return false;
   }
-  if (armed == nullptr) return nullptr;
-  armed->hits += 1;
-  if (armed->hits <= armed->spec.skip_hits) return nullptr;
-  if (armed->spec.max_fires >= 0 && armed->fires >= armed->spec.max_fires) {
-    return nullptr;
-  }
-  if (armed->spec.probability < 1.0 &&
-      !rng_.Bernoulli(armed->spec.probability)) {
-    return nullptr;
-  }
-  armed->fires += 1;
-  return &armed->spec;
+  armed.fires += 1;
+  return true;
 }
 
 int64_t FaultInjector::hits(const std::string& point) const {

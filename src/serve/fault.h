@@ -22,26 +22,7 @@ inline constexpr bool kFaultsCompiledIn = true;
 #endif
 
 /// \name Named failure points threaded into the serving hot path.
-///
-/// A point can be armed process-wide (`Arm("replica.kill", ...)`) or
-/// scoped to one tagged instance (`Arm("replica.kill#2", ...)` fires
-/// only on the engine whose fault tag is 2 — how a bench makes exactly
-/// one replica the straggler). Instance-scoped specs take precedence
-/// over the unscoped name.
 ///@{
-/// Kills the engine the batch was submitted to (checked at the top of
-/// QueryEngine::SubmitBatch, so "fire after K hits" means "die on batch
-/// K+1"). The submission then resolves Unavailable like any post-kill
-/// batch — the deterministic replica-death the respawn path recovers
-/// from.
-inline constexpr char kFaultReplicaKill[] = "replica.kill";
-/// Sleeps the engine's dispatch thread for the spec's delay before the
-/// batch searches — a slow replica (straggler), not a dead one. The
-/// injected latency is visible to hedging and to least-loaded routing.
-inline constexpr char kFaultSlowBatch[] = "replica.slow_batch";
-/// Fails a replica respawn's snapshot hydration. The supervisor counts
-/// the failure, leaves the replica dead, and retries on its next tick.
-inline constexpr char kFaultHydrate[] = "replica.hydrate";
 /// Rejects a request at the admission queue with Unavailable —
 /// injected load-shedding at the pipeline's front door.
 inline constexpr char kFaultQueueAdmit[] = "queue.admit";
@@ -51,28 +32,24 @@ inline constexpr char kFaultQueueAdmit[] = "queue.admit";
 /// the fields carve out deterministic or probabilistic subsets.
 struct FaultSpec {
   /// Skip this many evaluations before becoming eligible to fire —
-  /// "kill at batch K" is skip_hits = K-1 (hits are counted from the
-  /// moment the point is armed).
+  /// "fail the K-th request" is skip_hits = K-1 (hits are counted from
+  /// the moment the point is armed).
   int64_t skip_hits = 0;
   /// Stop firing after this many fires; -1 = unlimited. A one-shot
-  /// fault (kill exactly once) is max_fires = 1.
+  /// fault is max_fires = 1.
   int64_t max_fires = -1;
   /// Probability an eligible evaluation fires, drawn from the
   /// injector's seeded generator — deterministic for a fixed seed and
   /// evaluation order.
   double probability = 1.0;
-  /// Injected latency for delay points (kFaultSlowBatch); ignored by
-  /// fail/kill points.
-  int64_t delay_ns = 0;
 };
 
 /// \brief Seeded, process-wide registry of armed failure points.
 ///
-/// The serving hot path asks `ShouldFail(point, tag)` / `DelayNs(point,
-/// tag)` at each threaded-in failure site. With nothing armed the cost
-/// is one relaxed atomic load; with the layer compiled out
-/// (-DUHSCM_FAULTS=OFF) the calls are constant-false and the optimizer
-/// removes them. Arming is runtime-only — production binaries carry the
+/// The serving hot path asks `ShouldFail(point)` at each threaded-in
+/// failure site. With nothing armed the cost is one relaxed atomic
+/// load; with the layer compiled out (-DUHSCM_FAULTS=OFF) the calls are
+/// constant-false and the optimizer removes them. Arming is runtime-only — production binaries carry the
 /// (idle) checks unless compiled out.
 ///
 /// Determinism: all probabilistic draws come from one generator seeded
@@ -88,9 +65,7 @@ class FaultInjector {
   /// Reseeds the probability generator (does not disarm anything).
   void Seed(uint64_t seed);
 
-  /// Arms (or re-arms, resetting its counters) a failure point. The
-  /// name is either a bare point (`replica.kill`) or instance-scoped
-  /// (`replica.kill#1`).
+  /// Arms (or re-arms, resetting its counters) a failure point.
   void Arm(const std::string& point, const FaultSpec& spec);
 
   /// Disarms one point (no-op when not armed).
@@ -99,22 +74,11 @@ class FaultInjector {
   /// Disarms every point and reseeds with the default seed.
   void Reset();
 
-  /// True when the armed (possibly instance-scoped) spec for `point`
-  /// fires on this evaluation. `tag` >= 0 also consults `point#tag`,
-  /// which wins over the bare name.
-  bool ShouldFail(const char* point, int tag = -1) {
+  /// True when the armed spec for `point` fires on this evaluation.
+  bool ShouldFail(const char* point) {
     if constexpr (!kFaultsCompiledIn) return false;
     if (armed_points_.load(std::memory_order_relaxed) == 0) return false;
-    return Evaluate(point, tag) != nullptr;
-  }
-
-  /// The armed delay for this evaluation (0 = not firing / not a delay
-  /// point). Same arming, counting, and precedence rules as ShouldFail.
-  int64_t DelayNs(const char* point, int tag = -1) {
-    if constexpr (!kFaultsCompiledIn) return 0;
-    if (armed_points_.load(std::memory_order_relaxed) == 0) return 0;
-    const FaultSpec* spec = Evaluate(point, tag);
-    return spec != nullptr ? spec->delay_ns : 0;
+    return Evaluate(point);
   }
 
   /// Evaluations of an armed point since it was armed (0 if unarmed).
@@ -129,11 +93,9 @@ class FaultInjector {
     int64_t fires = 0;
   };
 
-  /// Finds the armed entry for (point, tag), counts the hit, and
-  /// returns the spec when it fires (nullptr otherwise). The returned
-  /// pointer stays valid until the point is disarmed — callers read
-  /// delay_ns immediately.
-  const FaultSpec* Evaluate(const char* point, int tag);
+  /// Finds the armed entry for `point`, counts the hit, and returns
+  /// whether it fires.
+  bool Evaluate(const char* point);
 
   /// A leaf lock: nothing is acquired beneath it.
   mutable Mutex mu_{"serve.fault", 14};

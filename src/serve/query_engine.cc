@@ -1,12 +1,9 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
-#include <chrono>
-#include <stdexcept>
 
 #include "common/status.h"
 #include "common/stopwatch.h"
-#include "serve/fault.h"
 
 namespace uhscm::serve {
 
@@ -24,46 +21,21 @@ QueryEngine::QueryEngine(std::unique_ptr<ShardedIndex> index,
 
 QueryEngine::~QueryEngine() { Drain(); }
 
-void QueryEngine::CompleteTask(DispatchTask task, bool killed) {
+void QueryEngine::CompleteTask(DispatchTask task) {
   const int n = task.queries.size();
-  if (killed) {
-    task.done(Status::Unavailable("engine killed before the batch ran"), {});
-  } else {
-    // Straggler injection: an armed replica.slow_batch delay sleeps the
-    // dispatch thread before the search, so the slowness is visible
-    // exactly where a genuinely slow replica's would be — in this
-    // batch's completion latency and the engine's in-flight count.
-    const int64_t delay_ns = FaultInjector::Global().DelayNs(
-        kFaultSlowBatch, fault_tag_.load(std::memory_order_relaxed));
-    if (delay_ns > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(delay_ns));
-    }
-    task.done(Status::OK(), Search(task.queries, task.k, task.trace));
-  }
-  // Decrement only after the callback returns — on *every* completion
-  // path, including the killed one: a batch that resolves Unavailable
-  // and leaks its in-flight count would bias least-loaded routing away
-  // from this replica forever. (Decrementing after the callback also
-  // means a router seeing the old load cannot race ahead of a completion
-  // the client hasn't observed yet, and tests can hold a batch "in
-  // flight" by blocking in the callback.)
+  task.done(Search(task.queries, task.k, task.trace));
+  // Decrement only after the callback returns: a router seeing the old
+  // load cannot race ahead of a completion the client hasn't observed
+  // yet, and tests can hold a batch "in flight" by blocking in the
+  // callback.
   inflight_.fetch_sub(n, std::memory_order_relaxed);
 }
 
 void QueryEngine::SubmitBatch(index::PackedCodes queries, int k,
                               obs::TraceContext trace, BatchCallback done) {
-  // Deterministic replica death: an armed replica.kill point (skip_hits
-  // = K-1 → die on batch K) kills this engine before the batch is
-  // enqueued, so the submission — and everything queued behind it —
-  // resolves Unavailable exactly like a replica dying under load.
-  if (FaultInjector::Global().ShouldFail(
-          kFaultReplicaKill, fault_tag_.load(std::memory_order_relaxed))) {
-    Kill();
-  }
   const int n = queries.size();
   inflight_.fetch_add(n, std::memory_order_relaxed);
   DispatchTask task{std::move(queries), k, trace, std::move(done)};
-  bool reject = false;
   {
     UniqueLock lock(dispatch_mu_);
     if (!drained_) {
@@ -75,11 +47,9 @@ void QueryEngine::SubmitBatch(index::PackedCodes queries, int k,
       dispatch_cv_.notify_one();
       return;
     }
-    reject = killed_;
   }
-  // Drained: complete inline, never drop. Killed: reject inline — the
-  // corpus may be mid-teardown, so no new search may start.
-  CompleteTask(std::move(task), reject);
+  // Drained: complete inline, never drop.
+  CompleteTask(std::move(task));
 }
 
 std::future<std::vector<std::vector<Neighbor>>> QueryEngine::SubmitBatch(
@@ -89,16 +59,7 @@ std::future<std::vector<std::vector<Neighbor>>> QueryEngine::SubmitBatch(
   std::future<std::vector<std::vector<Neighbor>>> future =
       promise->get_future();
   SubmitBatch(std::move(queries), k,
-              [promise](Status status,
-                        std::vector<std::vector<Neighbor>> results) {
-                // The future carries no Status channel, so a failed
-                // batch (killed engine) must not masquerade as an empty
-                // success — surface it as an exception from get().
-                if (!status.ok()) {
-                  promise->set_exception(std::make_exception_ptr(
-                      std::runtime_error(status.ToString())));
-                  return;
-                }
+              [promise](std::vector<std::vector<Neighbor>> results) {
                 promise->set_value(std::move(results));
               });
   return future;
@@ -107,7 +68,6 @@ std::future<std::vector<std::vector<Neighbor>>> QueryEngine::SubmitBatch(
 void QueryEngine::DispatchLoop() {
   for (;;) {
     DispatchTask task;
-    bool killed = false;
     {
       UniqueLock lock(dispatch_mu_);
       while (!dispatch_stop_ && dispatch_tasks_.empty()) {
@@ -116,13 +76,12 @@ void QueryEngine::DispatchLoop() {
       if (dispatch_tasks_.empty()) return;  // stop requested, queue flushed
       task = std::move(dispatch_tasks_.front());
       dispatch_tasks_.pop_front();
-      killed = killed_;
     }
-    CompleteTask(std::move(task), killed);
+    CompleteTask(std::move(task));
   }
 }
 
-void QueryEngine::Shutdown(bool kill) {
+void QueryEngine::Drain() {
   MutexLock drain_lock(drain_mu_);
   std::thread dispatch;
   {
@@ -130,22 +89,15 @@ void QueryEngine::Shutdown(bool kill) {
     if (drained_) return;
     drained_ = true;
     dispatch_stop_ = true;
-    killed_ = kill;
-    if (kill) killed_flag_.store(true, std::memory_order_release);
     dispatch.swap(dispatch_thread_);
   }
   dispatch_cv_.notify_all();
-  // The dispatch loop settles every queued batch before exiting — with
-  // results on a drain, with an Unavailable status on a kill — and it
+  // The dispatch loop runs every queued batch before exiting, and it
   // must be gone before the pool is drained — its Searches fan out on
   // the pool.
   if (dispatch.joinable()) dispatch.join();
   pool_->Drain();
 }
-
-void QueryEngine::Drain() { Shutdown(/*kill=*/false); }
-
-void QueryEngine::Kill() { Shutdown(/*kill=*/true); }
 
 std::vector<std::vector<Neighbor>> QueryEngine::Search(
     const index::PackedCodes& queries, int k,

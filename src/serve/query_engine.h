@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/annotated_sync.h"
-#include "common/status.h"
 #include "common/thread_pool.h"
 #include "index/packed_codes.h"
 #include "obs/trace.h"
@@ -82,15 +81,11 @@ class QueryEngine {
   /// Single-query convenience wrapper over the batched path.
   std::vector<index::Neighbor> SearchOne(const uint64_t* query, int k);
 
-  /// Per-batch completion callback: on OK, one ascending result list per
-  /// query in query order — exactly what Search returns. A non-OK status
-  /// (only Unavailable, from a killed engine) carries an empty result
-  /// vector; either way the callback runs exactly once and the engine's
-  /// in-flight counter is decremented after it returns — no completion
-  /// path may leak in-flight queries, or least-loaded routing is
-  /// permanently biased away from this replica.
-  using BatchCallback = std::function<void(
-      Status, std::vector<std::vector<index::Neighbor>>)>;
+  /// Per-batch completion callback: one ascending result list per query
+  /// in query order — exactly what Search returns. It runs exactly once,
+  /// and the engine's in-flight counter is decremented after it returns.
+  using BatchCallback =
+      std::function<void(std::vector<std::vector<index::Neighbor>>)>;
 
   /// \name Non-blocking batch seam (driven by the pipeline's Batcher)
   ///
@@ -115,11 +110,7 @@ class QueryEngine {
   void SubmitBatch(index::PackedCodes queries, int k, obs::TraceContext trace,
                    BatchCallback done);
 
-  /// Future-returning convenience wrapper over the callback form. A
-  /// batch that fails (killed engine) surfaces as a std::runtime_error
-  /// from future::get() — the future has no Status channel, and an
-  /// empty-success masquerade would read out of shape for callers
-  /// indexing one result list per query.
+  /// Future-returning convenience wrapper over the callback form.
   std::future<std::vector<std::vector<index::Neighbor>>> SubmitBatch(
       index::PackedCodes queries, int k);
 
@@ -135,32 +126,7 @@ class QueryEngine {
   /// destructor calls it. Search/SubmitBatch afterwards still work,
   /// inline and single-threaded.
   void Drain();
-
-  /// Fail-fast shutdown — the "replica died" path. Queued batches that
-  /// have not started searching resolve their callbacks with an
-  /// Unavailable status (empty results) instead of running; the batch
-  /// currently executing finishes normally. Later SubmitBatch calls also
-  /// resolve Unavailable immediately. Every completion path still
-  /// decrements the in-flight counter, so a killed replica reads as
-  /// idle, not as eternally loaded. Joins the dispatch thread and worker
-  /// pool like Drain; idempotent, and a no-op after Drain.
-  void Kill();
-
-  /// True once Kill() has marked the engine dead (set before Kill
-  /// waits for in-flight work, so observers can order against it).
-  /// Lock-free — the router consults it on every batch placement to
-  /// steer traffic away from dead replicas.
-  bool killed() const { return killed_flag_.load(std::memory_order_acquire); }
   ///@}
-
-  /// Instance tag consulted by the fault injector: an armed
-  /// `replica.kill#2` or `replica.slow_batch#2` fires only on the
-  /// engine tagged 2 (ReplicaSet tags each replica with its slot
-  /// index). -1 (the default) matches only unscoped points.
-  void set_fault_tag(int tag) {
-    fault_tag_.store(tag, std::memory_order_relaxed);
-  }
-  int fault_tag() const { return fault_tag_.load(std::memory_order_relaxed); }
 
   /// Appends a batch of codes to the corpus (routed to the least-full
   /// shard) and bumps the epoch. Returns the assigned global ids.
@@ -208,8 +174,7 @@ class QueryEngine {
   size_t cache_size() const { return cache_.size(); }
 
  private:
-  /// One queued SubmitBatch: kept as data (not a closure) so Kill() can
-  /// resolve it with a status without running the search.
+  /// One queued SubmitBatch.
   struct DispatchTask {
     index::PackedCodes queries;
     int k = 0;
@@ -218,10 +183,9 @@ class QueryEngine {
   };
 
   void DispatchLoop();
-  /// Runs (killed=false) or fails (killed=true) one task, then
-  /// decrements the in-flight counter — the single completion path.
-  void CompleteTask(DispatchTask task, bool killed);
-  void Shutdown(bool kill);
+  /// Runs one task, then decrements the in-flight counter — the single
+  /// completion path.
+  void CompleteTask(DispatchTask task);
   /// Auto-compaction check. Returns true when anything was reclaimed
   /// (the caller's epoch bump covers it).
   bool MaybeCompactLocked() UHSCM_REQUIRES(update_mu_);
@@ -271,22 +235,14 @@ class QueryEngine {
   std::thread dispatch_thread_ UHSCM_GUARDED_BY(dispatch_mu_);
   bool dispatch_stop_ UHSCM_GUARDED_BY(dispatch_mu_) = false;
   bool drained_ UHSCM_GUARDED_BY(dispatch_mu_) = false;
-  bool killed_ UHSCM_GUARDED_BY(dispatch_mu_) = false;
-  /// Mirror of killed_ readable without the dispatch mutex (set with
-  /// release in the same critical section that sets killed_; acquire
-  /// loads order observer reads after the kill decision).
-  std::atomic<bool> killed_flag_{false};
-  /// Serializes Drain/Kill callers (same pattern as ThreadPool::Drain):
-  /// a second shutdown — or the destructor — must not return while the
-  /// first is still joining the dispatch thread and draining the pool.
+  /// Serializes Drain callers (same pattern as ThreadPool::Drain): a
+  /// second drain — or the destructor — must not return while the first
+  /// is still joining the dispatch thread and draining the pool.
   Mutex drain_mu_{"engine.drain", 80};
   /// Relaxed: load-balancing signal only (least-loaded routing); no data
   /// is published through it and a momentarily stale read just routes one
   /// batch suboptimally.
   std::atomic<int64_t> inflight_{0};
-  /// Relaxed: configuration value consulted by the fault injector; set
-  /// once per replica slot before traffic flows.
-  std::atomic<int> fault_tag_{-1};
 };
 
 /// Slices a query stream into `batch`-sized PackedCodes (the final batch

@@ -1,10 +1,8 @@
 #ifndef UHSCM_SERVE_REPLICA_SET_H_
 #define UHSCM_SERVE_REPLICA_SET_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/annotated_sync.h"
@@ -14,20 +12,6 @@
 #include "serve/snapshot.h"
 
 namespace uhscm::serve {
-
-/// Replica lifecycle as the supervisor sees it.
-enum class ReplicaHealth : int {
-  /// Serving traffic; coherent with every other healthy replica.
-  kHealthy = 0,
-  /// Detected dead and being respawned right now (rebuild from the base
-  /// snapshot + journal replay). The router keeps skipping it — the
-  /// dead engine stays in the slot until the swap.
-  kDegraded = 1,
-  /// Killed and not (yet) being respawned.
-  kDead = 2,
-};
-
-const char* ReplicaHealthName(ReplicaHealth health);
 
 struct ReplicaSetOptions {
   /// Engine replicas to build; clamped to >= 1. Each replica owns a full
@@ -40,226 +24,86 @@ struct ReplicaSetOptions {
   /// trades per-batch fan-out width for cross-batch parallelism instead
   /// of oversubscribing the machine.
   ServingSnapshotOptions serving;
-  /// Start the supervisor thread: it polls every supervise_interval_ms
-  /// for killed replicas and respawns each one (rebuild, replay,
-  /// verify, swap). Off by default — tests and benches that need
-  /// deterministic recovery timing call RespawnDeadReplicas() directly.
-  bool supervise = false;
-  int64_t supervise_interval_ms = 1;
 };
 
 /// \brief N identically-hydrated QueryEngine replicas behind one update
-/// fan-out — the replication layer the pipeline's Router balances over —
-/// plus the machinery that makes replicas cattle: health tracking, an
-/// update journal, and supervised kill → respawn → rehydrate recovery.
+/// fan-out — the replication layer the pipeline's Router balances over.
 ///
 /// Every replica is built from the same snapshot with the same options,
 /// so global ids, epochs, and search results are byte-identical across
 /// replicas from the start. Updates (Append/Remove/RemoveIds/Compact)
-/// are fanned to every *live* replica under one fan-out lock, in replica
-/// order, with the same arguments — deterministic mutation of
-/// deterministic state, so the replicas stay coherent: same ids
-/// assigned, same epoch after every update (checked). A query routed to
-/// *any* live replica therefore returns exactly what every other live
-/// replica would return once the epochs agree.
+/// are fanned to every replica under one fan-out lock, in replica order,
+/// with the same arguments — deterministic mutation of deterministic
+/// state, so the replicas stay coherent: same ids assigned, same epoch
+/// after every update (checked). A query routed to *any* replica
+/// therefore returns exactly what every other replica would return once
+/// the epochs agree.
 ///
-/// **Recovery.** Every fan-out is also appended to an in-memory journal
-/// (the update sequence since hydration), and the hydration base
-/// snapshot is retained. Respawning a killed replica rebuilds a fresh
-/// engine from that base — the same deterministic hydration the
-/// original replicas went through — replays the journal (asserting the
-/// recorded ids/counts at every step), verifies epoch and corpus-size
-/// coherence against a live replica, and atomically swaps the new
-/// engine into the routing slot. Post-recovery results are
-/// byte-identical to a replica that was never killed, because both are
-/// the same deterministic function of (base snapshot, update sequence).
-/// Fan-outs hold the same lock as a respawn, so no update can slip
-/// between the journal freeze and the swap; queries keep flowing to the
-/// other replicas throughout.
-///
-/// **Retired engines.** A swapped-out dead engine is retired, not
-/// freed: the batcher resolves `Router::Pick()` to a raw engine pointer
-/// and may still be submitting to it when the swap lands, so corpses
-/// stay owned (valid, instantly rejecting everything, consuming no CPU)
-/// until the ReplicaSet itself is destroyed. Respawns are rare; the
-/// deferred reclamation is one idle engine per kill.
-///
-/// Reads need no lock here: `replica(r)` is one acquire load of the
-/// slot pointer, and each engine synchronizes its own index. The
-/// fan-out lock only serializes writers (and respawns) against each
-/// other so replicas apply the identical update sequence.
+/// Reads need no lock here: each engine synchronizes its own index. The
+/// fan-out lock only serializes writers against each other so replicas
+/// apply the identical update sequence.
 class ReplicaSet {
  public:
   /// Builds `replicas` engines, each hydrated from its own copy of the
-  /// snapshot (ids, tombstones, and epoch restored identically). The
-  /// snapshot is retained as the respawn base.
+  /// snapshot (ids, tombstones, and epoch restored identically).
   ReplicaSet(const io::CodesSnapshot& snapshot,
              const ReplicaSetOptions& options);
 
   /// Convenience for tests/benches that hold a bare corpus (epoch 0,
-  /// nothing tombstoned). The corpus is retained as the respawn base.
+  /// nothing tombstoned).
   ReplicaSet(const index::PackedCodes& corpus,
              const ReplicaSetOptions& options);
-
-  ~ReplicaSet();
 
   ReplicaSet(const ReplicaSet&) = delete;
   ReplicaSet& operator=(const ReplicaSet&) = delete;
 
-  int num_replicas() const { return num_replicas_; }
-  /// The engine currently serving slot r (acquire load — safe against a
-  /// concurrent respawn swap; a just-swapped-out engine stays valid, see
-  /// class comment).
+  int num_replicas() const { return static_cast<int>(replicas_.size()); }
   QueryEngine* replica(int r) {
-    return slots_[static_cast<size_t>(r)].load(std::memory_order_acquire);
+    return replicas_[static_cast<size_t>(r)].get();
   }
   const QueryEngine& replica(int r) const {
-    return *slots_[static_cast<size_t>(r)].load(std::memory_order_acquire);
+    return *replicas_[static_cast<size_t>(r)];
   }
 
-  /// Health of slot r. kDead is partly derived: a replica killed since
-  /// the last supervisor tick reads dead here even before the
-  /// supervisor notices it.
-  ReplicaHealth health(int r) const;
-
-  /// \name Update fan-out (every live replica, identical order +
-  /// arguments; journaled for respawn replay)
+  /// \name Update fan-out (every replica, identical order + arguments)
   ///@{
-  /// Appends the batch to all live replicas. Returns the assigned
-  /// global ids (identical on every replica — checked). With zero live
-  /// replicas the update is journaled (a later respawn applies it) and
-  /// the returned ids are empty.
+  /// Appends the batch to all replicas. Returns the assigned global ids
+  /// (identical on every replica — checked).
   std::vector<int> Append(const index::PackedCodes& codes);
   bool Remove(int global_id);
   int RemoveIds(const std::vector<int>& global_ids);
 
-  /// Compacts every live replica (QueryEngine::Compact — all shards
-  /// holding dead rows). Replicas hold identical corpora, so every
-  /// replica must reclaim the identical shard/row counts and land on
-  /// the identical epoch — checked, because a divergence here means
-  /// divergent ids.
+  /// Compacts every replica (QueryEngine::Compact — all shards holding
+  /// dead rows). Replicas hold identical corpora, so every replica must
+  /// reclaim the identical shard/row counts and land on the identical
+  /// epoch — checked, because a divergence here means divergent ids.
   CompactionStats Compact();
   ///@}
 
-  /// \name Recovery
-  ///@{
-  /// Scans for killed replicas and respawns each one synchronously
-  /// (rebuild from base + journal replay + coherence check + slot
-  /// swap). Returns how many came back. This is what the supervisor
-  /// thread calls every tick; tests call it directly for determinism.
-  /// A respawn whose hydration fails (replica.hydrate fault point)
-  /// counts a failure and leaves the replica dead for the next attempt.
-  int RespawnDeadReplicas();
-
-  /// Successful respawns / failed respawn attempts since construction.
-  int64_t respawns() const {
-    return respawns_.load(std::memory_order_relaxed);
-  }
-  int64_t respawn_failures() const {
-    return respawn_failures_.load(std::memory_order_relaxed);
-  }
-
-  /// Journaled updates since hydration (grows until the set is
-  /// destroyed; the planned delta-snapshot checkpoint is what will
-  /// truncate it).
-  size_t journal_size() const;
-
-  /// Starts/stops the supervisor thread (idempotent; the constructor
-  /// starts it when options.supervise is set, the destructor stops it).
-  void StartSupervisor();
-  void StopSupervisor();
-  ///@}
-
-  /// Corpus epoch of the first live replica (all live replicas agree
-  /// outside an in-flight fan-out); falls back to slot 0 when every
-  /// replica is dead.
-  uint64_t epoch() const;
+  /// Corpus epoch (all replicas agree outside an in-flight fan-out).
+  uint64_t epoch() const { return replica(0).epoch(); }
 
   /// Queries in flight on replica r — the least-loaded routing signal.
   int64_t Inflight(int r) const { return replica(r).inflight(); }
 
-  /// One engine snapshot per replica (the engine currently in each
-  /// slot). Note fanned-out updates appear in every live replica's
-  /// append/remove counters.
+  /// One engine snapshot per replica. Note fanned-out updates appear in
+  /// every replica's append/remove counters.
   std::vector<ServeStatsSnapshot> PerReplicaStats() const;
 
-  /// PerReplicaStats() folded through AggregateServeStats, plus the
-  /// health and respawn fields only this layer knows.
+  /// PerReplicaStats() folded through AggregateServeStats.
   ServeStatsSnapshot AggregatedStats() const;
 
   void ResetStats();
 
-  /// Drains every replica currently in rotation (flushes in-flight
-  /// batches, joins dispatch threads and worker pools). Engines remain
-  /// usable inline afterwards.
+  /// Drains every replica (flushes in-flight batches, joins dispatch
+  /// threads and worker pools). Engines remain usable inline afterwards.
   void DrainAll();
 
  private:
-  /// One journaled fan-out, with the outcome recorded from the live
-  /// replicas so a respawn's replay is checked step by step, not just
-  /// at the end.
-  struct JournalEntry {
-    enum class Kind { kAppend, kRemoveIds, kCompact };
-    Kind kind = Kind::kAppend;
-    index::PackedCodes codes;      // kAppend payload
-    std::vector<int> ids;          // kAppend: the ids the live replicas assigned
-    std::vector<int> remove_ids;   // kRemoveIds payload
-    int removed = 0;               // kRemoveIds: rows newly tombstoned
-    CompactionStats compact;       // kCompact: reclaim the live replicas saw
-    /// False when the update landed with zero live replicas — there was
-    /// no outcome to record, so replay applies without checking.
-    bool has_expected = true;
-  };
-
-  void Init(const ReplicaSetOptions& options);
-  /// Engines in rotation that are not killed; caller holds update_mu_
-  /// (exclusively — every caller is a mutator or a respawn).
-  std::vector<QueryEngine*> LiveEnginesLocked() UHSCM_REQUIRES(update_mu_);
-  /// Rebuild-replay-verify-swap for slot r; returns false when the
-  /// replica was not dead after all or hydration failed. Takes
-  /// update_mu_ for the whole rebuild: updates wait, queries don't.
-  bool RespawnReplica(int r);
-  void ReplayJournalLocked(QueryEngine* engine) const
-      UHSCM_REQUIRES_SHARED(update_mu_);
-  void SupervisorLoop();
-
-  ServingSnapshotOptions serving_;
-  int num_replicas_ = 0;
-  /// Hydration base every respawn rebuilds from. One retained corpus
-  /// copy — the price of rehydration without re-reading the artifact.
-  io::CodesSnapshot base_;
-
-  /// Serializes fan-outs and respawns so every replica applies the same
-  /// update sequence and no update can straddle a respawn's
-  /// freeze-replay-swap window. Also guards journal_. Mutators and
-  /// respawns hold it exclusive; journal_size(), a pure read, holds it
-  /// shared.
-  mutable SharedMutex update_mu_{"replicaset.update", 88};
-  std::vector<JournalEntry> journal_ UHSCM_GUARDED_BY(update_mu_);
-
-  /// The router-visible rotation: slot r holds replica r's current
-  /// engine. Release/acquire: the release store of a respawned slot
-  /// publishes the fully rebuilt engine behind the pointer; health_
-  /// likewise publishes each transition after its side effects.
-  std::unique_ptr<std::atomic<QueryEngine*>[]> slots_;
-  std::unique_ptr<std::atomic<int>[]> health_;
-  /// Every engine ever created (current + retired corpses) — owns the
-  /// storage the slot pointers alias.
-  mutable Mutex owned_mu_{"replicaset.owned", 70};
-  std::vector<std::unique_ptr<QueryEngine>> owned_ UHSCM_GUARDED_BY(owned_mu_);
-
-  /// Relaxed: monotonic stats counters; no data is published through them.
-  std::atomic<int64_t> respawns_{0};
-  std::atomic<int64_t> respawn_failures_{0};
-
-  int64_t supervise_interval_ms_ = 1;
-  std::thread supervisor_ UHSCM_GUARDED_BY(supervisor_mu_);
-  /// Ranked just below the update lock: SupervisorLoop drops it before
-  /// RespawnDeadReplicas, so it is never held while acquiring
-  /// update_mu_.
-  Mutex supervisor_mu_{"replicaset.supervisor", 86};
-  CondVar supervisor_cv_;
-  bool supervisor_stop_ UHSCM_GUARDED_BY(supervisor_mu_) = false;
+  /// Serializes fan-outs so every replica applies the same update
+  /// sequence.
+  Mutex update_mu_{"replicaset.update", 88};
+  std::vector<std::unique_ptr<QueryEngine>> replicas_;
 };
 
 }  // namespace uhscm::serve

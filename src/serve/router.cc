@@ -39,37 +39,21 @@ Router::Router(ReplicaSet* replicas, RoutePolicy policy)
 
 int Router::Route() {
   const int n = replicas_->num_replicas();
-  // Dead replicas are skipped by both policies: a killed engine rejects
-  // everything instantly, so its in-flight count sits at zero — without
-  // the liveness check, least-loaded would steer nearly all traffic
-  // onto the corpse while healthy replicas idle. With every replica
-  // dead there is nowhere to route: return -1 so the caller fails the
-  // batch immediately instead of queuing work behind a corpse.
-  int pick = -1;
+  int pick = 0;
   if (policy_ == RoutePolicy::kRoundRobin) {
-    for (int attempt = 0; attempt < n; ++attempt) {
-      const int candidate = static_cast<int>(
-          next_.fetch_add(1, std::memory_order_relaxed) %
-          static_cast<uint64_t>(n));
-      if (!replicas_->replica(candidate)->killed()) {
-        pick = candidate;
-        break;
-      }
-    }
+    pick = static_cast<int>(next_.fetch_add(1, std::memory_order_relaxed) %
+                            static_cast<uint64_t>(n));
   } else {
-    int64_t best = 0;
-    for (int r = 0; r < n; ++r) {
-      if (replicas_->replica(r)->killed()) continue;
+    int64_t best = replicas_->Inflight(0);
+    for (int r = 1; r < n; ++r) {
       const int64_t load = replicas_->Inflight(r);
-      if (pick < 0 || load < best) {
+      if (load < best) {
         best = load;
         pick = r;
       }
     }
   }
-  if (pick >= 0) {
-    routed_[static_cast<size_t>(pick)].fetch_add(1, std::memory_order_relaxed);
-  }
+  routed_[static_cast<size_t>(pick)].fetch_add(1, std::memory_order_relaxed);
   return pick;
 }
 

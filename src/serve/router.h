@@ -32,29 +32,18 @@ bool ParseRoutePolicy(const std::string& name, RoutePolicy* policy);
 /// Route() is a lock-free replica pick: an atomic rotation counter for
 /// round-robin, or a scan of the replicas' in-flight query counters for
 /// least-loaded (N is small — a handful of replicas — so the scan is a
-/// few relaxed loads). Both policies skip killed replicas (a dead
-/// engine's in-flight count is permanently zero, which would otherwise
-/// make it the *most* attractive least-loaded target). When every
-/// replica is dead, Route() returns -1 (Pick() returns nullptr) and the
-/// caller fails the batch immediately with Unavailable — routing onto a
-/// corpse would only launder a known-dead pick into a slower rejection.
-/// Per-replica routed-batch counters are kept for observability; they
-/// are maintained with relaxed atomics and carry no ordering
-/// guarantees.
+/// few relaxed loads). Per-replica routed-batch counters are kept for
+/// observability; they are maintained with relaxed atomics and carry no
+/// ordering guarantees.
 class Router {
  public:
   Router(ReplicaSet* replicas, RoutePolicy policy = RoutePolicy::kLeastLoaded);
 
-  /// Picks the replica index for the next batch, or -1 when every
-  /// replica is dead.
+  /// Picks the replica index for the next batch.
   int Route();
 
-  /// Route() resolved to the engine itself; nullptr when every replica
-  /// is dead.
-  QueryEngine* Pick() {
-    const int r = Route();
-    return r >= 0 ? replicas_->replica(r) : nullptr;
-  }
+  /// Route() resolved to the engine itself.
+  QueryEngine* Pick() { return replicas_->replica(Route()); }
 
   RoutePolicy policy() const { return policy_; }
   ReplicaSet* replicas() { return replicas_; }

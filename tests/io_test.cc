@@ -2,8 +2,11 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "io/serialize.h"
@@ -107,6 +110,50 @@ TEST_F(IoTest, CorruptedPayloadFailsChecksum) {
   Result<linalg::Matrix> r = LoadMatrix(path);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("checksum"), std::string::npos);
+}
+
+// A header is untrusted input: dims claiming 2^30 x 2^30 floats (4 EiB)
+// must fail the load with a Status before anything is allocated — no
+// bad_alloc, no crash.
+TEST_F(IoTest, ForgedHugeHeadersFailWithStatusNotAllocation) {
+  const int32_t huge = 1 << 30;
+  const uint32_t version = 1;
+  const std::string path = Path("forged.bin");
+  auto forge = [&](const char magic[4], const std::vector<int32_t>& fields) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(magic, 1, 4, f);
+    std::fwrite(&version, sizeof(version), 1, f);
+    std::fwrite(fields.data(), sizeof(int32_t), fields.size(), f);
+    const char tail[64] = {};  // a little payload, nowhere near enough
+    std::fwrite(tail, 1, sizeof(tail), f);
+    std::fclose(f);
+  };
+
+  // A bare matrix.
+  forge("UHSM", {huge, huge});
+  Result<linalg::Matrix> matrix = LoadMatrix(path);
+  ASSERT_FALSE(matrix.ok());
+  EXPECT_EQ(matrix.status().code(), StatusCode::kInvalidArgument);
+
+  // Model parameters: the right parameter count, then a huge matrix.
+  Rng rng(8);
+  nn::Sequential model;
+  model.Append(std::make_unique<nn::Linear>(6, 10, &rng));
+  forge("UHSN", {2, huge, huge});
+  EXPECT_FALSE(LoadModelParameters(&model, path).ok());
+
+  // A hashing network whose architecture header claims a 2^30 x 2^30
+  // first layer (allocated before any weight is read) ...
+  forge("UHSH", {huge, huge, 8, 4});
+  Result<std::unique_ptr<core::HashingNetwork>> network =
+      LoadHashingNetwork(path);
+  ASSERT_FALSE(network.ok());
+  EXPECT_EQ(network.status().code(), StatusCode::kInvalidArgument);
+
+  // ... and one with a sane architecture but a huge first weight matrix.
+  forge("UHSH", {4, 4, 4, 4, huge, huge});
+  EXPECT_FALSE(LoadHashingNetwork(path).ok());
 }
 
 TEST_F(IoTest, ModelParametersRoundTrip) {

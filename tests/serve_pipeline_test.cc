@@ -15,7 +15,6 @@
 #include <chrono>
 #include <future>
 #include <limits>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -406,8 +405,7 @@ TEST(RouterTest, LeastLoadedAvoidsBusyReplica) {
       PackedCodes::FromRawWords(
           1, corpus.bits(),
           std::vector<uint64_t>(corpus.code(0), corpus.code(0) + 1)),
-      3, [&entered, release_future](Status,
-                                    std::vector<std::vector<Neighbor>>) {
+      3, [&entered, release_future](std::vector<std::vector<Neighbor>>) {
         entered.set_value();
         release_future.wait();
       });
@@ -417,31 +415,6 @@ TEST(RouterTest, LeastLoadedAvoidsBusyReplica) {
   release.set_value();
   replicas.replica(0)->Drain();
   EXPECT_EQ(replicas.Inflight(0), 0);
-}
-
-TEST(RouterTest, KilledReplicaIsSkippedByBothPolicies) {
-  // A killed engine rejects instantly, so its in-flight count is
-  // permanently zero — the most attractive least-loaded target unless
-  // the router checks liveness.
-  const PackedCodes corpus = RandomCorpus(100, 64, 63);
-  ReplicaSetOptions options;
-  options.replicas = 3;
-  ReplicaSet replicas(corpus, options);
-  replicas.replica(1)->Kill();
-
-  Router rr(&replicas, RoutePolicy::kRoundRobin);
-  for (int i = 0; i < 12; ++i) EXPECT_NE(rr.Route(), 1);
-  Router least(&replicas, RoutePolicy::kLeastLoaded);
-  for (int i = 0; i < 12; ++i) EXPECT_NE(least.Route(), 1);
-
-  // Every replica dead: Route() reports it (-1 / nullptr) so the caller
-  // fails the batch immediately instead of submitting to a corpse.
-  replicas.replica(0)->Kill();
-  replicas.replica(2)->Kill();
-  EXPECT_EQ(least.Route(), -1);
-  EXPECT_EQ(least.Pick(), nullptr);
-  EXPECT_EQ(rr.Route(), -1);
-  EXPECT_EQ(rr.Pick(), nullptr);
 }
 
 TEST(RouterTest, ParsePolicyNames) {
@@ -649,146 +622,6 @@ TEST(CompactionConcurrencyTest, SearchesDuringCompactionStayExact) {
     ExpectSameNeighbors(reference->SearchOne(queries.code(q), k),
                         engine->SearchOne(queries.code(q), k));
   }
-}
-
-// ---------------------------------------------------------------------
-// Kill path: a replica dying mid-stream must not leak in-flight counts
-
-TEST(QueryEngineTest, KillFailsQueuedBatchesAndZeroesInflight) {
-  const PackedCodes corpus = RandomCorpus(200, 64, 55);
-  auto engine = MakeQueryEngine(
-      PackedCodes::FromRawWords(corpus.size(), corpus.bits(),
-                                corpus.words()),
-      {});
-
-  // Hold the dispatch thread inside the first batch's callback so the
-  // rest stay queued, then kill: the queued batches must resolve with
-  // Unavailable — and every completion path must return the in-flight
-  // counter to zero, or least-loaded routing would shun this replica
-  // forever.
-  std::promise<void> release;
-  std::shared_future<void> release_future = release.get_future().share();
-  std::promise<void> entered;
-  auto one_query = [&] {
-    return PackedCodes::FromRawWords(
-        1, corpus.bits(),
-        std::vector<uint64_t>(corpus.code(0), corpus.code(0) + 1));
-  };
-  engine->SubmitBatch(one_query(), 3,
-                      [&entered, release_future](
-                          Status, std::vector<std::vector<Neighbor>>) {
-                        entered.set_value();
-                        release_future.wait();
-                      });
-  entered.get_future().wait();
-
-  std::vector<Status> statuses(4);
-  std::vector<std::promise<void>> resolved(4);
-  for (int i = 0; i < 4; ++i) {
-    engine->SubmitBatch(one_query(), 3,
-                        [&statuses, &resolved, i](
-                            Status status,
-                            std::vector<std::vector<Neighbor>> results) {
-                          statuses[static_cast<size_t>(i)] = status;
-                          EXPECT_TRUE(results.empty() || status.ok());
-                          resolved[static_cast<size_t>(i)].set_value();
-                        });
-  }
-  EXPECT_EQ(engine->inflight(), 5);
-
-  std::thread killer([&] { engine->Kill(); });
-  // Kill sets the kill flag before it waits for in-flight work, and the
-  // dispatch thread is parked in the first batch's callback until the
-  // release below — so once killed() reads true, every queued batch is
-  // guaranteed to take the failure path. Deterministic, no sleeps.
-  while (!engine->killed()) std::this_thread::yield();
-  release.set_value();  // let the in-hand batch finish; Kill reaps the rest
-  killer.join();
-  for (auto& promise : resolved) promise.get_future().wait();
-  for (const Status& status : statuses) {
-    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
-  }
-  EXPECT_EQ(engine->inflight(), 0)
-      << "a batch that resolved Unavailable leaked its in-flight count";
-
-  // Post-kill submissions also resolve Unavailable, still accounted.
-  std::promise<void> late_done;
-  engine->SubmitBatch(one_query(), 3,
-                      [&late_done](Status status,
-                                   std::vector<std::vector<Neighbor>>) {
-                        EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-                        late_done.set_value();
-                      });
-  late_done.get_future().wait();
-  EXPECT_EQ(engine->inflight(), 0);
-
-  // The future form has no Status channel, so a failed batch must
-  // surface as an exception from get() — never as an empty "success"
-  // whose shape (0 lists) would betray callers indexing per query.
-  auto failed = engine->SubmitBatch(one_query(), 3);
-  EXPECT_THROW(failed.get(), std::runtime_error);
-  EXPECT_EQ(engine->inflight(), 0);
-}
-
-TEST(BatcherTest, KilledReplicaMidStreamResolvesEverythingAndRebalances) {
-  // Kill one of two replicas while a submission stream is in flight:
-  // every future resolves (served or Unavailable, never hung), both
-  // replicas' in-flight counters return to zero, and the router keeps
-  // routing afterwards.
-  const PackedCodes corpus = RandomCorpus(400, 64, 56);
-  BatcherOptions options;
-  options.max_batch = 4;
-  options.timeout_us = 100;
-  Pipeline pipeline(corpus, 2, options);
-
-  std::vector<std::future<SearchResponse>> futures;
-  std::thread killer;
-  for (int round = 0; round < 12; ++round) {
-    for (int q = 0; q < 16; ++q) {
-      futures.push_back(pipeline.batcher->Submit(corpus, q, 5));
-    }
-    if (round == 5) {
-      killer = std::thread(
-          [&pipeline] { pipeline.replica_set->replica(1)->Kill(); });
-    }
-  }
-  if (killer.joinable()) killer.join();
-
-  int served = 0, rejected = 0;
-  for (std::future<SearchResponse>& future : futures) {
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(30)),
-              std::future_status::ready)
-        << "a killed replica left a future unresolved";
-    const SearchResponse response = future.get();
-    if (response.status.ok()) {
-      ++served;
-      EXPECT_FALSE(response.neighbors.empty());
-    } else {
-      EXPECT_EQ(response.status.code(), StatusCode::kUnavailable);
-      ++rejected;
-    }
-  }
-  EXPECT_EQ(served + rejected, 12 * 16);
-  EXPECT_GT(served, 0) << "the surviving replica must keep serving";
-
-  // Fresh traffic after the kill routes around the dead replica
-  // entirely — every request is served by the survivor.
-  std::vector<std::future<SearchResponse>> after;
-  for (int q = 0; q < 8; ++q) {
-    after.push_back(pipeline.batcher->Submit(corpus, q, 5));
-  }
-  for (std::future<SearchResponse>& future : after) {
-    const SearchResponse response = future.get();
-    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-  }
-
-  // The accounting invariant the router depends on: both replicas read
-  // as idle once the stream settles — including the killed one, whose
-  // batches resolved Unavailable.
-  pipeline.replica_set->replica(0)->Drain();
-  EXPECT_EQ(pipeline.replica_set->Inflight(0), 0);
-  EXPECT_EQ(pipeline.replica_set->Inflight(1), 0);
-  EXPECT_GE(pipeline.batcher->stats().rejected_requests, rejected);
 }
 
 // ---------------------------------------------------------------------

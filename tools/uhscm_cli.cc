@@ -33,6 +33,9 @@
 //          [--route=rr|least] [--topk=K] [--queries=N]
 //          [--append=PATH] [--delete-ids=1,5,10-20] [--compact]
 //          [--compact-threshold=F] [--save-snapshot=PATH]
+//          [--deadline-ms=F] [--metrics-json=PATH] [--trace-out=PATH]
+//          [--trace-sample=1/N] [--report-interval-ms=N]
+//          [--slow-query-ms=F]
 //       Hydrates N QueryEngine replicas from the packed codes (legacy v1
 //       artifact or v2 serving snapshot) behind the async request
 //       pipeline — bounded admission queue, adaptive batcher (flush at B
@@ -43,7 +46,12 @@
 //       query stream is loaded/encoded once and its packed buffer reused
 //       across all passes. Queries are encoded from the synthetic query
 //       split when --model is given, otherwise sampled from the database
-//       codes themselves.
+//       codes themselves. --deadline-ms=F stamps every request with a
+//       deadline F ms after its submission; a request still unbatched at
+//       its deadline resolves DeadlineExceeded without reaching a
+//       replica. The observability flags export the metrics registry,
+//       write a Chrome trace of 1-in-N sampled requests, print a
+//       periodic stats line, and log the slowest requests on exit.
 //
 //       Admin ops run after the replay passes and fan out to every
 //       replica: --append=PATH appends a packed-code artifact to the
@@ -138,13 +146,8 @@ struct Flags {
   int trace_sample = 0;  // 0 = tracing off; N traces 1 in N requests
   int64_t report_interval_ms = 0;  // 0 = no periodic report
   double slow_query_ms = 0.0;      // 0 = no slow-query log
-  // Fault tolerance (serve): per-request deadline, retry budget, hedged
-  // requests, and the replica supervisor.
-  double deadline_ms = 0.0;    // 0 = no deadline
-  int retries = 3;             // total dispatch attempts per batch
-  double hedge_budget = 0.0;   // 0 = hedging off
-  int64_t hedge_delay_us = 0;  // 0 = auto (live search p99)
-  bool supervise = false;      // respawn killed replicas automatically
+  // Per-request deadline (serve).
+  double deadline_ms = 0.0;  // 0 = no deadline
 };
 
 int Usage() {
@@ -161,8 +164,7 @@ int Usage() {
                "[--compact-threshold=F] [--save-snapshot=PATH] "
                "[--metrics-json=PATH] [--trace-out=PATH] "
                "[--trace-sample=1/N] [--report-interval-ms=N] "
-               "[--slow-query-ms=F] [--deadline-ms=F] [--retries=N] "
-               "[--hedge-budget=F] [--hedge-delay-us=N] [--supervise]\n");
+               "[--slow-query-ms=F] [--deadline-ms=F]\n");
   return 2;
 }
 
@@ -319,40 +321,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
                      arg.c_str() + 14);
         return false;
       }
-    } else if (StartsWith(arg, "--retries=")) {
-      flags->retries = std::atoi(arg.c_str() + 10);
-      if (flags->retries < 1) {
-        std::fprintf(stderr,
-                     "--retries must be >= 1 (total dispatch attempts per "
-                     "batch; 1 disables retries), got %s\n",
-                     arg.c_str() + 10);
-        return false;
-      }
-    } else if (StartsWith(arg, "--hedge-budget=")) {
-      char* end = nullptr;
-      flags->hedge_budget = std::strtod(arg.c_str() + 15, &end);
-      // A *fraction* of batches allowed a duplicate dispatch — "30"
-      // meaning 30% would silently clamp to hedging everything, so
-      // anything malformed or out of range is an error.
-      if (end == arg.c_str() + 15 || *end != '\0' ||
-          !std::isfinite(flags->hedge_budget) || flags->hedge_budget < 0.0 ||
-          flags->hedge_budget > 1.0) {
-        std::fprintf(stderr,
-                     "--hedge-budget must be a fraction in [0, 1], got %s\n",
-                     arg.c_str() + 15);
-        return false;
-      }
-    } else if (StartsWith(arg, "--hedge-delay-us=")) {
-      flags->hedge_delay_us = std::atoll(arg.c_str() + 17);
-      if (flags->hedge_delay_us < 0) {
-        std::fprintf(stderr,
-                     "--hedge-delay-us must be >= 0 (0 = auto, the live "
-                     "search p99), got %s\n",
-                     arg.c_str() + 17);
-        return false;
-      }
-    } else if (arg == "--supervise") {
-      flags->supervise = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
@@ -697,26 +665,8 @@ int CmdServe(const Flags& flags) {
     std::fprintf(stderr, "serve: --route must be rr or least\n");
     return 2;
   }
-  // A hedge duplicates a batch onto a *different* replica — with one
-  // replica there is nowhere to hedge to, so the combination is a
-  // misconfiguration, not a silent no-op.
-  if (flags.hedge_budget > 0.0 && flags.replicas <= 1) {
-    std::fprintf(stderr,
-                 "serve: --hedge-budget=%g needs --replicas > 1 (a hedge "
-                 "re-submits to a second replica)\n",
-                 flags.hedge_budget);
-    return 2;
-  }
-  if (flags.hedge_delay_us > 0 && flags.hedge_budget <= 0.0) {
-    std::fprintf(stderr,
-                 "serve: --hedge-delay-us has no effect without "
-                 "--hedge-budget > 0\n");
-    return 2;
-  }
-
   serve::ReplicaSetOptions options;
   options.replicas = std::max(1, flags.replicas);
-  options.supervise = flags.supervise;
   options.serving.index.num_shards = flags.shards;
   options.serving.index.backend =
       flags.backend == "mih" ? serve::ShardBackend::kMultiIndexHash
@@ -784,17 +734,13 @@ int CmdServe(const Flags& flags) {
   // load-aware router, fed by the adaptive batcher. All query traffic
   // goes through Batcher::Submit — nothing calls Search directly.
   serve::ReplicaSet replicas(snapshot, options);
-  // Each replica holds its own corpus copy now (plus the set's retained
-  // respawn base); drop the loaded snapshot's buffers so peak memory
-  // stays at N+1 copies, not N+2.
+  // Each replica holds its own corpus copy now; drop the loaded
+  // snapshot's buffers so peak memory stays at N copies, not N+1.
   snapshot = io::CodesSnapshot();
   serve::Router router(&replicas, route_policy);
   serve::BatcherOptions batcher_options;
   batcher_options.max_batch = flags.batch_max;
   batcher_options.timeout_us = flags.batch_timeout_us;
-  batcher_options.max_attempts = flags.retries;
-  batcher_options.hedge_budget = flags.hedge_budget;
-  batcher_options.hedge_delay_us = flags.hedge_delay_us;
   serve::Batcher batcher(&router, batcher_options);
 
   // Tracing: arm the sampler before any request is admitted. Asking for

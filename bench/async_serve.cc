@@ -1,14 +1,14 @@
-// async_serve — offered load x replicas x (B, T) sweep of the async
-// request pipeline against the caller-batched synchronous baseline.
+// async_serve — (B, T) sweep of the async request pipeline at
+// saturation against the caller-batched synchronous baseline.
 //
 // The serving story this bench pins down: production callers arrive with
 // *their* batch shape — a handful of queries per request — and the
 // synchronous path scans the corpus at that shape. The pipeline admits
 // the same per-request queries into a bounded queue, re-batches them
 // adaptively (flush at B queries or T microseconds, whichever first),
-// and routes each flush to the least-loaded of N engine replicas, so the
-// SIMD batch scan runs at the shape the *load* supports, not the shape
-// any one caller happened to send.
+// and searches each flush on the one engine, so the SIMD batch scan runs
+// at the shape the *load* supports, not the shape any one caller
+// happened to send.
 //
 // Baseline: one engine (all hardware threads) driven by one closed-loop
 // caller issuing synchronous Search calls of `--request-size` queries —
@@ -18,9 +18,11 @@
 // (32) and `--clients` concurrent caller threads.
 //
 // Acceptance gate (armed at the default size on >= 4-core hosts): the
-// best pipeline configuration with >= 2 replicas must reach >= 1.5x the
-// single-caller caller-batched baseline QPS at saturation, with
-// end-to-end p99 staying bounded. Emits BENCH_async_serve.json.
+// best pipeline configuration must reach >= 1.5x the single-caller
+// caller-batched baseline QPS at saturation, with end-to-end p99
+// staying bounded; and the observability layer, enabled but unsampled,
+// must keep >= 99% of the disabled layer's QPS in the median of
+// kObsPairs interleaved pairs. Emits BENCH_async_serve.json.
 //
 //   $ ./build/async_serve [--n=100000] [--bits=128] [--k=10]
 //                         [--requests=2048] [--request-size=1]
@@ -31,6 +33,7 @@
 #include <cstdlib>
 #include <future>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +43,7 @@
 #include "common/string_util.h"
 #include "common/table_writer.h"
 #include "index/packed_codes.h"
+#include "io/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perf_util.h"
@@ -52,6 +56,14 @@
 
 namespace uhscm::bench {
 namespace {
+
+/// The observability-overhead gate's sample: kObsPairs disabled/enabled
+/// pairs of kObsPasses replays each. One pair's ratio swings by a few
+/// percent on a shared host, so the gate judges the median ratio, never
+/// a single or best-of reading.
+constexpr int kObsPairs = 21;
+constexpr int kObsPasses = 2;
+static_assert(kObsPasses % 2 == 0, "each request must be timed in both arms");
 
 struct Flags {
   int n = 100000;
@@ -104,19 +116,26 @@ struct RunResult {
   int64_t by_timeout = 0;
 };
 
+/// The synchronous baseline engine: 4 shards, cache off (measure
+/// search, not the LRU), every hardware thread.
+std::unique_ptr<serve::QueryEngine> MakeBaselineEngine(
+    const index::PackedCodes& corpus) {
+  serve::ServingSnapshotOptions options;
+  options.index.num_shards = 4;
+  options.engine.cache_capacity = 0;
+  return serve::MakeQueryEngine(
+      index::PackedCodes::FromRawWords(corpus.size(), corpus.bits(),
+                                       corpus.words()),
+      options);
+}
+
 /// Caller-batched baseline: `clients` closed-loop threads, each issuing
 /// synchronous Search calls of request_size queries against one shared
 /// engine — the pre-pipeline serving model.
 RunResult RunCallerBatched(const index::PackedCodes& corpus,
                            const index::PackedCodes& queries, int k,
                            int request_size, int clients) {
-  serve::ServingSnapshotOptions options;
-  options.index.num_shards = 4;
-  options.engine.cache_capacity = 0;  // measure search, not the LRU
-  auto engine = serve::MakeQueryEngine(
-      index::PackedCodes::FromRawWords(corpus.size(), corpus.bits(),
-                                       corpus.words()),
-      options);
+  auto engine = MakeBaselineEngine(corpus);
   const std::vector<index::PackedCodes> request_batches =
       serve::SliceBatches(queries, request_size);
 
@@ -152,14 +171,13 @@ RunResult RunCallerBatched(const index::PackedCodes& corpus,
 /// queries one by one into the batcher (open loop, bounded by the
 /// admission queue's backpressure) and then wait for every future.
 RunResult RunPipeline(const index::PackedCodes& corpus,
-                      const index::PackedCodes& queries, int k, int replicas,
-                      int max_batch, int64_t timeout_us, int clients) {
+                      const index::PackedCodes& queries, int k, int max_batch,
+                      int64_t timeout_us, int clients) {
   serve::ReplicaSetOptions options;
-  options.replicas = replicas;
   options.serving.index.num_shards = 4;
   options.serving.engine.cache_capacity = 0;
-  serve::ReplicaSet replica_set(corpus, options);
-  serve::Router router(&replica_set, serve::RoutePolicy::kLeastLoaded);
+  serve::ReplicaSet replica_set(io::CodesSnapshot{corpus}, options);
+  serve::Router router(&replica_set);
   serve::BatcherOptions batcher_options;
   batcher_options.max_batch = max_batch;
   batcher_options.timeout_us = timeout_us;
@@ -217,28 +235,26 @@ int Main(int argc, char** argv) {
       flags.n, flags.bits, flags.requests, flags.request_size, total_queries,
       flags.k, flags.clients, hw);
 
-  TableWriter table({"config", "replicas", "B", "T_us", "qps", "p50_ms",
-                     "p99_ms", "tiq_p99_ms", "by_size", "by_timeout",
-                     "speedup"});
+  TableWriter table({"config", "B", "T_us", "qps", "p50_ms", "p99_ms",
+                     "tiq_p99_ms", "by_size", "by_timeout", "speedup"});
   struct JsonRow {
     std::string config;
-    int replicas, max_batch;
+    int max_batch;
     int64_t timeout_us;
     RunResult result;
     double speedup;
   };
   std::vector<JsonRow> json_rows;
-  auto record = [&](const std::string& config, int replicas, int max_batch,
+  auto record = [&](const std::string& config, int max_batch,
                     int64_t timeout_us, const RunResult& result,
                     double speedup) {
-    table.AddRow({config, std::to_string(replicas),
-                  std::to_string(max_batch), std::to_string(timeout_us),
+    table.AddRow({config, std::to_string(max_batch),
+                  std::to_string(timeout_us),
                   Fmt(result.qps), Fmt(result.p50_ms, "%.3f"),
                   Fmt(result.p99_ms, "%.3f"), Fmt(result.tiq_p99_ms, "%.3f"),
                   std::to_string(result.by_size),
                   std::to_string(result.by_timeout), Fmt(speedup, "%.2f")});
-    json_rows.push_back(
-        {config, replicas, max_batch, timeout_us, result, speedup});
+    json_rows.push_back({config, max_batch, timeout_us, result, speedup});
   };
 
   // The gate's reference: the pre-pipeline serving model — one
@@ -246,75 +262,77 @@ int Main(int argc, char** argv) {
   const RunResult baseline = RunCallerBatched(corpus, queries, flags.k,
                                               flags.request_size,
                                               /*clients=*/1);
-  record("caller-batched", 1, flags.request_size, 0, baseline, 1.0);
+  record("caller-batched", flags.request_size, 0, baseline, 1.0);
   // Context rows: a caller who happens to batch generously, and several
   // concurrent callers sharing the one engine.
   const RunResult generous =
       RunCallerBatched(corpus, queries, flags.k, 32, /*clients=*/1);
-  record("caller-batched", 1, 32, 0, generous, generous.qps / baseline.qps);
+  record("caller-batched", 32, 0, generous, generous.qps / baseline.qps);
   const RunResult multi_caller = RunCallerBatched(
       corpus, queries, flags.k, flags.request_size, flags.clients);
-  record("caller-batched-mt", 1, flags.request_size, 0, multi_caller,
+  record("caller-batched-mt", flags.request_size, 0, multi_caller,
          multi_caller.qps / baseline.qps);
 
-  // Pipeline sweep. Replica counts are capped by the hardware: an
-  // oversubscribed replica adds dispatch threads without adding cores.
-  std::vector<int> replica_counts{1, 2};
-  if (hw >= 8) replica_counts.push_back(4);
-  double best_replicated_qps = 0.0;
-  RunResult best_replicated;
-  int best_replicas = 0, best_max_batch = 0;
-  for (int replicas : replica_counts) {
-    for (const auto& [max_batch, timeout_us] :
-         std::vector<std::pair<int, int64_t>>{
-             {16, 200}, {64, 500}, {256, 2000}}) {
-      const RunResult result =
-          RunPipeline(corpus, queries, flags.k, replicas, max_batch,
-                      timeout_us, flags.clients);
-      const double speedup = result.qps / baseline.qps;
-      record("pipeline", replicas, max_batch, timeout_us, result, speedup);
-      if (replicas >= 2 && result.qps > best_replicated_qps) {
-        best_replicated_qps = result.qps;
-        best_replicated = result;
-        best_replicas = replicas;
-        best_max_batch = max_batch;
-      }
+  // Pipeline sweep over batch shapes.
+  RunResult best;
+  int best_max_batch = 0;
+  for (const auto& [max_batch, timeout_us] :
+       std::vector<std::pair<int, int64_t>>{
+           {16, 200}, {64, 500}, {256, 2000}}) {
+    const RunResult result = RunPipeline(corpus, queries, flags.k, max_batch,
+                                         timeout_us, flags.clients);
+    record("pipeline", max_batch, timeout_us, result,
+           result.qps / baseline.qps);
+    if (result.qps > best.qps) {
+      best = result;
+      best_max_batch = max_batch;
     }
   }
   table.Print(std::cout);
 
-  // Observability overhead A/B: the same caller-batched replay with the
-  // layer runtime-disabled vs enabled-but-unsampled (sampling off is the
-  // production default). Interleaved best-of-3 so thermal / scheduler
-  // drift hits both arms alike; the gate below requires the enabled arm
-  // to keep >= 99% of the disabled arm's QPS.
-  double obs_disabled_qps = 0.0;
-  double obs_enabled_qps = 0.0;
+  // Observability overhead A/B: the single-caller caller-batched replay
+  // with the layer runtime-disabled vs enabled-but-unsampled (sampling
+  // off is the production default). Both arms search one engine, and
+  // within a pair the runtime switch flips on every request, the first
+  // arm alternating between passes and pairs — so host drift lands on
+  // both arms alike and every request is timed once per arm per pair.
   obs::TraceRecorder::Global().SetSampleEvery(0);
-  for (int rep = 0; rep < 3; ++rep) {
-    obs::SetRuntimeEnabled(false);
-    obs_disabled_qps = std::max(
-        obs_disabled_qps, RunCallerBatched(corpus, queries, flags.k,
-                                           flags.request_size, /*clients=*/1)
-                              .qps);
-    obs::SetRuntimeEnabled(true);
-    obs_enabled_qps = std::max(
-        obs_enabled_qps, RunCallerBatched(corpus, queries, flags.k,
-                                          flags.request_size, /*clients=*/1)
-                             .qps);
+  const auto obs_engine = MakeBaselineEngine(corpus);
+  const std::vector<index::PackedCodes> obs_batches =
+      serve::SliceBatches(queries, flags.request_size);
+  std::vector<double> disabled_qps, enabled_qps;
+  for (int pair = 0; pair < kObsPairs; ++pair) {
+    double seconds[2] = {0.0, 0.0};  // [disabled, enabled]
+    for (int pass = 0; pass < kObsPasses; ++pass) {
+      for (size_t b = 0; b < obs_batches.size(); ++b) {
+        const size_t arm = (b + static_cast<size_t>(pass + pair)) % 2;
+        obs::SetRuntimeEnabled(arm == 1);
+        Stopwatch watch;
+        obs_engine->Search(obs_batches[b], flags.k);
+        seconds[arm] += watch.ElapsedSeconds();
+      }
+    }
+    const double per_arm = kObsPasses * queries.size() / 2.0;
+    disabled_qps.push_back(per_arm / seconds[0]);
+    enabled_qps.push_back(per_arm / seconds[1]);
   }
-  const double obs_overhead_ratio =
-      obs_disabled_qps > 0.0 ? obs_enabled_qps / obs_disabled_qps : 1.0;
-  std::printf("\nobservability overhead (enabled-unsampled vs disabled): "
-              "%.1f vs %.1f QPS (ratio %.4f)\n",
-              obs_enabled_qps, obs_disabled_qps, obs_overhead_ratio);
+  const PairedRatios obs_pairs =
+      SummarizePairs(std::move(disabled_qps), std::move(enabled_qps));
+  obs::SetRuntimeEnabled(true);
+  const double obs_disabled_qps = serve::Percentile(obs_pairs.a, 50.0);
+  const double obs_enabled_qps = serve::Percentile(obs_pairs.b, 50.0);
+  std::printf("\nobservability overhead (enabled-unsampled / disabled), "
+              "%d pairs: median ratio %.4f (IQR %.4f; median QPS %.1f vs "
+              "%.1f)\n  ratios: %s\n",
+              kObsPairs, obs_pairs.median, obs_pairs.iqr, obs_enabled_qps,
+              obs_disabled_qps, JoinFmt(obs_pairs.ratios, "%.4f", " ").c_str());
 
   // Untimed instrumented pass: one pipeline run with every request
   // sampled fills the stage.*_ns histograms for the JSON breakdown.
   {
     obs::TraceRecorder::Global().SetSampleEvery(1);
-    RunPipeline(corpus, queries, flags.k, /*replicas=*/hw >= 4 ? 2 : 1,
-                /*max_batch=*/64, /*timeout_us=*/500, flags.clients);
+    RunPipeline(corpus, queries, flags.k, /*max_batch=*/64,
+                /*timeout_us=*/500, flags.clients);
     obs::TraceRecorder::Global().SetSampleEvery(0);
   }
 
@@ -330,9 +348,13 @@ int Main(int argc, char** argv) {
       WriteJsonRunMeta(f);
       WriteJsonStageBreakdown(f);
       std::fprintf(f,
-                   "  \"obs_overhead\": {\"disabled_qps\": %.1f, "
-                   "\"enabled_qps\": %.1f, \"ratio\": %.4f},\n",
-                   obs_disabled_qps, obs_enabled_qps, obs_overhead_ratio);
+                   "  \"obs_overhead\": {\"pairs\": %d, "
+                   "\"disabled_qps\": %.1f, \"enabled_qps\": %.1f, "
+                   "\"ratio\": %.4f, \"ratio_iqr\": %.4f, "
+                   "\"ratios\": [%s]},\n",
+                   kObsPairs, obs_disabled_qps, obs_enabled_qps,
+                   obs_pairs.median, obs_pairs.iqr,
+                   JoinFmt(obs_pairs.ratios, "%.4f", ", ").c_str());
       std::fprintf(f,
                    "  \"n\": %d, \"bits\": %d, \"k\": %d, \"requests\": %d, "
                    "\"request_size\": %d, \"clients\": %d, \"hw\": %d,\n",
@@ -343,11 +365,11 @@ int Main(int argc, char** argv) {
         const JsonRow& r = json_rows[i];
         std::fprintf(
             f,
-            "    {\"config\": \"%s\", \"replicas\": %d, \"B\": %d, "
+            "    {\"config\": \"%s\", \"B\": %d, "
             "\"T_us\": %lld, \"qps\": %.1f, \"p50_ms\": %.4f, "
             "\"p99_ms\": %.4f, \"tiq_p99_ms\": %.4f, \"by_size\": %lld, "
             "\"by_timeout\": %lld, \"speedup\": %.3f}%s\n",
-            r.config.c_str(), r.replicas, r.max_batch,
+            r.config.c_str(), r.max_batch,
             static_cast<long long>(r.timeout_us), r.result.qps,
             r.result.p50_ms, r.result.p99_ms, r.result.tiq_p99_ms,
             static_cast<long long>(r.result.by_size),
@@ -360,16 +382,16 @@ int Main(int argc, char** argv) {
     }
   }
 
-  const double speedup = best_replicated_qps / baseline.qps;
-  std::printf("\nbest replicated pipeline: %.1f QPS (%.2fx the "
-              "caller-batched baseline's %.1f), p99 %.3f ms vs baseline "
-              "%.3f ms\n",
-              best_replicated_qps, speedup, baseline.qps,
-              best_replicated.p99_ms, baseline.p99_ms);
+  const double speedup = best.qps / baseline.qps;
+  std::printf("\nbest pipeline: %.1f QPS at B=%d (%.2fx the caller-batched "
+              "baseline's %.1f), p99 %.3f ms vs baseline %.3f ms\n",
+              best.qps, best_max_batch, speedup, baseline.qps, best.p99_ms,
+              baseline.p99_ms);
 
   // The 1.5x bar only means something at a size where the batcher can
-  // actually form large batches and the host has cores to overlap
-  // replicas; tiny smoke runs (CI sanitizer job, laptops) skip it.
+  // actually form large batches and the host has cores for the engine's
+  // pool to fan a batch across; tiny smoke runs (CI sanitizer job,
+  // laptops) skip it.
   const bool gate_armed =
       flags.n >= 50000 && total_queries >= 2048 && hw >= 4;
   if (!gate_armed) {
@@ -377,34 +399,32 @@ int Main(int argc, char** argv) {
     return 0;
   }
   // Observability gate: enabled-but-unsampled must cost <= 1% QPS on the
-  // hot sync path. Armed with the main gate — the same "too small to
-  // measure" caveat applies, and below ~50k rows per-run noise exceeds
-  // the 1% band being tested.
-  if (obs_overhead_ratio < 0.99) {
-    std::printf("FAIL: observability layer costs %.1f%% QPS when enabled "
-                "but unsampled (budget: 1%%)\n",
-                (1.0 - obs_overhead_ratio) * 100.0);
+  // hot sync path, judged on the median per-pair ratio. Armed with the
+  // main gate — the same "too small to measure" caveat applies, and
+  // below ~50k rows per-run noise exceeds the 1% band being tested.
+  if (obs_pairs.median < 0.99) {
+    std::printf("FAIL: observability layer costs %.1f%% QPS (median of %d "
+                "pairs) when enabled but unsampled (budget: 1%%)\n",
+                (1.0 - obs_pairs.median) * 100.0, kObsPairs);
     return 1;
   }
   if (speedup < 1.5) {
-    std::printf("FAIL: replicated pipeline below the 1.5x QPS acceptance "
-                "bar\n");
+    std::printf("FAIL: best pipeline configuration below the 1.5x QPS "
+                "acceptance bar\n");
     return 1;
   }
   // "Bounded p99" means bounded by the backpressure design: at
-  // saturation a request waits at most the full admission queue plus the
-  // in-flight batches ahead of it, so allow 3x that drain time (or a
-  // 250 ms floor for timer noise). Unbounded queues would blow well
-  // past this; a healthy bounded pipeline sits comfortably inside it.
-  const double queue_entries =
-      8.0 * best_max_batch * best_replicas +
-      2.0 * best_replicas * best_max_batch;
-  const double p99_bound =
-      std::max(250.0, 3000.0 * queue_entries / best_replicated.qps);
-  if (best_replicated.p99_ms > p99_bound) {
+  // saturation a request waits at most behind the full admission queue
+  // (8·B entries) plus the one batch the flush thread is searching, so
+  // allow 3x that drain time (or a 250 ms floor for timer noise).
+  // Unbounded queues would blow well past this; a healthy bounded
+  // pipeline sits comfortably inside it.
+  const double queue_entries = 8.0 * best_max_batch + best_max_batch;
+  const double p99_bound = std::max(250.0, 3000.0 * queue_entries / best.qps);
+  if (best.p99_ms > p99_bound) {
     std::printf("FAIL: pipeline p99 %.3f ms exceeds the bounded-latency "
                 "bar (%.3f ms)\n",
-                best_replicated.p99_ms, p99_bound);
+                best.p99_ms, p99_bound);
     return 1;
   }
   std::printf("PASS: >= 1.5x QPS at saturation with bounded p99\n");

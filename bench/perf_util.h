@@ -11,12 +11,15 @@
 #include <ctime>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "index/hamming_kernels.h"
 #include "linalg/matrix.h"
 #include "obs/metrics.h"
+#include "serve/serve_stats.h"
 
 // Injected by CMake (git rev-parse --short HEAD); "unknown" outside a
 // git checkout or when building perf_util.h standalone.
@@ -59,6 +62,44 @@ inline std::string Fmt(double v, const char* format = "%.1f") {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), format, v);
   return buffer;
+}
+
+/// Joins `values`, each formatted with `format`, separated by `sep` —
+/// for table cells and JSON arrays of per-trial numbers.
+inline std::string JoinFmt(const std::vector<double>& values,
+                           const char* format, const char* sep) {
+  std::string out;
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += sep;
+    out += Fmt(values[i], format);
+  }
+  return out;
+}
+
+/// Per-pair ratios of interleaved A/B measurements, with the median a
+/// gate judges and the interquartile range that states its spread.
+struct PairedRatios {
+  std::vector<double> a, b;
+  std::vector<double> ratios;  // b / a per pair
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+/// Summarizes per-pair A and B measurements (same length, pair order).
+/// Callers alternate which arm runs first from pair to pair, so drift on
+/// a shared host hits both arms alike.
+inline PairedRatios SummarizePairs(std::vector<double> a,
+                                   std::vector<double> b) {
+  PairedRatios out;
+  for (size_t i = 0; i < a.size(); ++i) {
+    out.ratios.push_back(a[i] > 0.0 ? b[i] / a[i] : 0.0);
+  }
+  out.a = std::move(a);
+  out.b = std::move(b);
+  out.median = serve::Percentile(out.ratios, 50.0);
+  out.iqr = serve::Percentile(out.ratios, 75.0) -
+            serve::Percentile(out.ratios, 25.0);
+  return out;
 }
 
 /// Writes the `"meta": {...},` line every BENCH_*.json carries: the

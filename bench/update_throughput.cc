@@ -316,25 +316,23 @@ int Main(int argc, char** argv) {
                                static_cast<double>(queries.size()) / seconds
                          : 0.0;
   };
-  std::vector<double> dead_qps_runs, compacted_qps_runs, ratios;
+  std::vector<double> dead_qps_runs, compacted_qps_runs;
   for (int pair = 0; pair < kCompactionPairs; ++pair) {
-    double dead = 0.0, compacted = 0.0;
     if (pair % 2 == 0) {
-      dead = measure_qps(churn_engine.get());
-      compacted = measure_qps(compacted_engine.get());
+      dead_qps_runs.push_back(measure_qps(churn_engine.get()));
+      compacted_qps_runs.push_back(measure_qps(compacted_engine.get()));
     } else {
-      compacted = measure_qps(compacted_engine.get());
-      dead = measure_qps(churn_engine.get());
+      compacted_qps_runs.push_back(measure_qps(compacted_engine.get()));
+      dead_qps_runs.push_back(measure_qps(churn_engine.get()));
     }
-    dead_qps_runs.push_back(dead);
-    compacted_qps_runs.push_back(compacted);
-    ratios.push_back(dead > 0.0 ? compacted / dead : 0.0);
   }
-  const double dead_qps = serve::Percentile(dead_qps_runs, 50.0);
-  const double compacted_qps = serve::Percentile(compacted_qps_runs, 50.0);
-  const double compaction_speedup = serve::Percentile(ratios, 50.0);
-  const double ratio_iqr =
-      serve::Percentile(ratios, 75.0) - serve::Percentile(ratios, 25.0);
+  const PairedRatios pairs =
+      SummarizePairs(std::move(dead_qps_runs), std::move(compacted_qps_runs));
+  const std::vector<double>& ratios = pairs.ratios;
+  const double dead_qps = serve::Percentile(pairs.a, 50.0);
+  const double compacted_qps = serve::Percentile(pairs.b, 50.0);
+  const double compaction_speedup = pairs.median;
+  const double ratio_iqr = pairs.iqr;
 
   // Compacted results must be byte-identical — same distances, same
   // *global* ids — to the 50%-dead index, whether the compaction came
@@ -375,12 +373,7 @@ int Main(int argc, char** argv) {
   churn_table.AddRow({"compaction_ms", Fmt(compact_ms, "%.2f")});
   churn_table.AddRow({"scan_qps_50pct_dead", Fmt(dead_qps)});
   churn_table.AddRow({"scan_qps_compacted", Fmt(compacted_qps)});
-  std::string ratio_list;
-  for (double r : ratios) {
-    if (!ratio_list.empty()) ratio_list += " ";
-    ratio_list += Fmt(r, "%.2f");
-  }
-  churn_table.AddRow({"compaction_ratios", ratio_list});
+  churn_table.AddRow({"compaction_ratios", JoinFmt(ratios, "%.2f", " ")});
   churn_table.AddRow(
       {"compaction_speedup_median", Fmt(compaction_speedup, "%.2f")});
   churn_table.AddRow({"compaction_ratio_iqr", Fmt(ratio_iqr, "%.2f")});
@@ -436,16 +429,13 @@ int Main(int argc, char** argv) {
           "  \"rows_reclaimed\": %d, \"shards_compacted\": %d,\n"
           "  \"compaction_ms\": %.2f,\n"
           "  \"scan_qps_50pct_dead\": %.1f, \"scan_qps_compacted\": %.1f,\n"
-          "  \"compaction_ratios\": [",
+          "  \"compaction_ratios\": [%s],\n",
           churn_total, dead_fraction, compact_stats.rows_reclaimed,
           compact_stats.shards_compacted, compact_ms, dead_qps,
-          compacted_qps);
-      for (size_t i = 0; i < ratios.size(); ++i) {
-        std::fprintf(f, "%s%.4f", i == 0 ? "" : ", ", ratios[i]);
-      }
+          compacted_qps, JoinFmt(ratios, "%.4f", ", ").c_str());
       std::fprintf(
           f,
-          "],\n  \"compaction_speedup\": %.2f, "
+          "  \"compaction_speedup\": %.2f, "
           "\"compaction_ratio_iqr\": %.4f, \"compact_exact\": %s\n}\n",
           compaction_speedup, ratio_iqr,
           compact_mismatches == 0 ? "true" : "false");

@@ -59,9 +59,9 @@ class Gauge {
 
 /// \brief Mergeable point-in-time copy of a histogram's buckets.
 ///
-/// The unit of exact cross-replica aggregation: bucket counts add
-/// element-wise, so percentiles of a merged snapshot are computed over
-/// the *pooled* distribution — not a max over per-replica percentiles.
+/// Bucket counts add element-wise, so percentiles of a merged snapshot
+/// are computed over the *pooled* distribution — not a max over the
+/// parts' percentiles.
 struct HistogramSnapshot {
   std::vector<uint64_t> counts;  // empty (== all-zero) or kNumBuckets long
   uint64_t total = 0;
@@ -73,7 +73,7 @@ struct HistogramSnapshot {
                      : 0.0;
   }
 
-  /// Element-wise bucket add — the exact merge AggregateServeStats uses.
+  /// Element-wise bucket add — an exact merge.
   void Merge(const HistogramSnapshot& other);
 
   /// Nearest-rank percentile (p in [0, 100]) over the bucket counts: the
@@ -92,8 +92,7 @@ struct HistogramSnapshot {
 /// equal sub-buckets, so relative resolution is bounded by
 /// 2^-kSubBucketBits (~3.1%) everywhere. Record is O(1): a bit-scan to
 /// find the bucket and three relaxed atomic adds — no lock, no sort, no
-/// retained samples. Snapshots merge exactly (bucket-wise), which is
-/// what lets replica percentiles aggregate without approximation.
+/// retained samples. Snapshots merge exactly (bucket-wise).
 ///
 /// Values are unit-agnostic int64s; the serving layer records latencies
 /// in nanoseconds (range 2^kMaxExponent ns ~= 9.7 hours; larger values

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "common/status.h"
@@ -34,28 +33,14 @@ void CloseRequestSpans(const std::vector<PendingRequest>& requests,
 
 }  // namespace
 
-/// One dispatched per-k group: written by the flush thread before the
-/// dispatch, then owned by the engine callback that resolves it.
-struct Batcher::Group {
-  std::vector<PendingRequest> requests;
-  std::vector<double> queue_waits;
-};
-
 Batcher::Batcher(Router* router, const BatcherOptions& options)
-    : router_(router),
+    : engine_(router->engine()),
       options_(options),
-      words_per_code_((router->replicas()->replica(0)->index().bits() + 63) /
-                      64),
-      bits_(router->replicas()->replica(0)->index().bits()),
-      max_inflight_batches_(
-          options.max_inflight_batches > 0
-              ? options.max_inflight_batches
-              : 2 * router->replicas()->num_replicas()),
+      words_per_code_((engine_->index().bits() + 63) / 64),
+      bits_(engine_->index().bits()),
       queue_(options.queue_capacity != 0
                  ? options.queue_capacity
-                 : static_cast<size_t>(std::max(1, options.max_batch)) * 8 *
-                       static_cast<size_t>(
-                           router->replicas()->num_replicas())) {
+                 : static_cast<size_t>(std::max(1, options.max_batch)) * 8) {
   options_.max_batch = std::max(1, options_.max_batch);
   options_.timeout_us = std::max<int64_t>(1, options_.timeout_us);
   flush_thread_ = std::thread([this] { FlushLoop(); });
@@ -114,9 +99,9 @@ void Batcher::FlushBatch(std::vector<PendingRequest> batch, bool by_timeout) {
     }
   }
 
-  // Deadline enforcement at the dispatch boundary: a request whose
-  // deadline already passed resolves kDeadlineExceeded here instead of
-  // occupying replica time its client has stopped waiting for.
+  // Deadline enforcement at the flush boundary: a request whose deadline
+  // already passed resolves kDeadlineExceeded here instead of occupying
+  // engine time its client has stopped waiting for.
   std::vector<PendingRequest> live;
   std::vector<PendingRequest> expired;
   live.reserve(batch.size());
@@ -147,7 +132,7 @@ void Batcher::FlushBatch(std::vector<PendingRequest> batch, bool by_timeout) {
   if (live.empty()) return;
 
   // The engine API carries one k per Search call, so a mixed-k flush
-  // dispatches one packed batch per distinct k (request order preserved
+  // searches one packed batch per distinct k (request order preserved
   // within each group; under homogeneous traffic this is one group).
   std::map<int, std::vector<size_t>> groups;
   for (size_t i = 0; i < live.size(); ++i) {
@@ -155,8 +140,8 @@ void Batcher::FlushBatch(std::vector<PendingRequest> batch, bool by_timeout) {
   }
 
   for (auto& [k, members] : groups) {
-    // The group's spans (batch assembly, route, the engine's search)
-    // hang under the first sampled request in the group — one traced
+    // The group's spans (batch assembly and the engine's search) hang
+    // under the first sampled request in the group — one traced
     // exemplar per batch keeps the trace a connected tree without
     // recording the shared stages once per member.
     obs::TraceContext group_ctx;
@@ -167,9 +152,8 @@ void Batcher::FlushBatch(std::vector<PendingRequest> batch, bool by_timeout) {
       }
     }
 
-    auto group = std::make_shared<Group>();
-    group->requests.reserve(members.size());
-    group->queue_waits.reserve(members.size());
+    std::vector<PendingRequest> requests;
+    requests.reserve(members.size());
     index::PackedCodes queries;
     {
       obs::ScopedSpan batch_span(&recorder, group_ctx, "batch");
@@ -180,64 +164,29 @@ void Batcher::FlushBatch(std::vector<PendingRequest> batch, bool by_timeout) {
       for (size_t i : members) {
         words.insert(words.end(), live[i].words.begin(),
                      live[i].words.end());
-        group->queue_waits.push_back(std::chrono::duration<double>(
-                                         flush_time - live[i].admit_time)
-                                         .count());
-        group->requests.push_back(std::move(live[i]));
+        requests.push_back(std::move(live[i]));
       }
       queries = index::PackedCodes::FromRawWords(
-          static_cast<int>(group->requests.size()), bits_, std::move(words));
+          static_cast<int>(requests.size()), bits_, std::move(words));
     }
 
-    QueryEngine* engine = nullptr;
-    {
-      obs::ScopedSpan route_span(&recorder, group_ctx, "route");
-      // End-to-end backpressure: don't let batches pile up in the
-      // engines' dispatch queues. Blocking here fills the admission
-      // queue, which in turn blocks Submit — overload surfaces at the
-      // front door, and the router always sees genuine (bounded)
-      // per-replica load. The wait is part of the route span: time spent
-      // here is time spent finding a replica with capacity. The slot is
-      // held until the engine's callback has resolved the group.
-      {
-        UniqueLock lock(inflight_mu_);
-        while (inflight_batches_.load(std::memory_order_relaxed) >=
-               max_inflight_batches_) {
-          inflight_cv_.wait(lock);
-        }
-        inflight_batches_.fetch_add(1, std::memory_order_relaxed);
-      }
-      engine = router_->Pick();
+    std::vector<std::vector<index::Neighbor>> results =
+        engine_->Search(queries, k, group_ctx);
+
+    // Counters are recorded *before* the promises resolve: a client
+    // woken by its future must already see its outcome in stats().
+    const auto now = std::chrono::steady_clock::now();
+    CloseRequestSpans(requests, now);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      PendingRequest& request = requests[i];
+      pipeline_stats_.RecordRequestDone(
+          std::chrono::duration<double>(flush_time - request.admit_time)
+              .count(),
+          std::chrono::duration<double>(now - request.admit_time).count());
+      request.promise.set_value(
+          SearchResponse{Status::OK(), std::move(results[i])});
     }
-    engine->SubmitBatch(
-        std::move(queries), k, group_ctx,
-        [this, group](std::vector<std::vector<index::Neighbor>> results) {
-          OnGroupDone(group.get(), std::move(results));
-        });
   }
-}
-
-void Batcher::OnGroupDone(Group* group,
-                          std::vector<std::vector<index::Neighbor>> results) {
-  // Counters are recorded *before* the promises resolve: a client woken
-  // by its future must already see its outcome reflected in stats().
-  const auto now = std::chrono::steady_clock::now();
-  CloseRequestSpans(group->requests, now);
-  for (size_t i = 0; i < group->requests.size(); ++i) {
-    PendingRequest& request = group->requests[i];
-    pipeline_stats_.RecordRequestDone(
-        group->queue_waits[i],
-        std::chrono::duration<double>(now - request.admit_time).count());
-    request.promise.set_value(
-        SearchResponse{Status::OK(), std::move(results[i])});
-  }
-
-  MutexLock lock(inflight_mu_);
-  inflight_batches_.fetch_sub(1, std::memory_order_relaxed);
-  // Notify under the lock: Drain destroys this cv as soon as it sees
-  // zero in flight, so the signal must complete before the waiter can
-  // reacquire inflight_mu_ and return.
-  inflight_cv_.notify_all();
 }
 
 void Batcher::Drain() {
@@ -245,28 +194,21 @@ void Batcher::Drain() {
   if (drained_.load(std::memory_order_acquire)) return;
   // Order matters: close first (rejects new work and wakes the flush
   // thread), join the flush thread (its in-hand partial batch is
-  // dispatched with real results), then fail whatever never made it out
-  // of the queue, and finally wait for every dispatched group's callback
-  // so no engine callback can touch this batcher after Drain.
+  // searched and resolved with real results), then fail whatever never
+  // made it out of the queue.
   queue_.Close();
   if (flush_thread_.joinable()) flush_thread_.join();
   const int failed = queue_.FailPending(
       Status::Unavailable("pipeline drained before the request was served"));
   pipeline_stats_.RecordRejected(failed);
-  {
-    UniqueLock lock(inflight_mu_);
-    while (inflight_batches_.load(std::memory_order_relaxed) != 0) {
-      inflight_cv_.wait(lock);
-    }
-  }
   drained_.store(true, std::memory_order_release);
 }
 
 ServeStatsSnapshot Batcher::stats() const {
-  ServeStatsSnapshot snap = router_->replicas()->AggregatedStats();
+  ServeStatsSnapshot snap = engine_->stats();
   // Pipeline counters overwrite the engine-side queries/batches/latency:
   // what a pipeline client experiences (queue wait included) is the
-  // serving truth; the engines' cache/update/epoch fields pass through.
+  // serving truth; the engine's cache/update/epoch fields pass through.
   pipeline_stats_.FillSnapshot(&snap);
   snap.queue_depth = static_cast<int64_t>(queue_.depth());
   // Shutdown rejections live in two places: requests drained out of the
@@ -279,7 +221,7 @@ ServeStatsSnapshot Batcher::stats() const {
 void Batcher::ResetStats() {
   pipeline_stats_.Reset();
   queue_.ResetRejected();
-  router_->replicas()->ResetStats();
+  engine_->ResetStats();
 }
 
 }  // namespace uhscm::serve

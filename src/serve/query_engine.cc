@@ -19,86 +19,6 @@ QueryEngine::QueryEngine(std::unique_ptr<ShardedIndex> index,
   UHSCM_CHECK(index_ != nullptr, "QueryEngine: null index");
 }
 
-QueryEngine::~QueryEngine() { Drain(); }
-
-void QueryEngine::CompleteTask(DispatchTask task) {
-  const int n = task.queries.size();
-  task.done(Search(task.queries, task.k, task.trace));
-  // Decrement only after the callback returns: a router seeing the old
-  // load cannot race ahead of a completion the client hasn't observed
-  // yet, and tests can hold a batch "in flight" by blocking in the
-  // callback.
-  inflight_.fetch_sub(n, std::memory_order_relaxed);
-}
-
-void QueryEngine::SubmitBatch(index::PackedCodes queries, int k,
-                              obs::TraceContext trace, BatchCallback done) {
-  const int n = queries.size();
-  inflight_.fetch_add(n, std::memory_order_relaxed);
-  DispatchTask task{std::move(queries), k, trace, std::move(done)};
-  {
-    UniqueLock lock(dispatch_mu_);
-    if (!drained_) {
-      if (!dispatch_thread_.joinable()) {
-        dispatch_thread_ = std::thread([this] { DispatchLoop(); });
-      }
-      dispatch_tasks_.push_back(std::move(task));
-      lock.unlock();
-      dispatch_cv_.notify_one();
-      return;
-    }
-  }
-  // Drained: complete inline, never drop.
-  CompleteTask(std::move(task));
-}
-
-std::future<std::vector<std::vector<Neighbor>>> QueryEngine::SubmitBatch(
-    index::PackedCodes queries, int k) {
-  auto promise =
-      std::make_shared<std::promise<std::vector<std::vector<Neighbor>>>>();
-  std::future<std::vector<std::vector<Neighbor>>> future =
-      promise->get_future();
-  SubmitBatch(std::move(queries), k,
-              [promise](std::vector<std::vector<Neighbor>> results) {
-                promise->set_value(std::move(results));
-              });
-  return future;
-}
-
-void QueryEngine::DispatchLoop() {
-  for (;;) {
-    DispatchTask task;
-    {
-      UniqueLock lock(dispatch_mu_);
-      while (!dispatch_stop_ && dispatch_tasks_.empty()) {
-        dispatch_cv_.wait(lock);
-      }
-      if (dispatch_tasks_.empty()) return;  // stop requested, queue flushed
-      task = std::move(dispatch_tasks_.front());
-      dispatch_tasks_.pop_front();
-    }
-    CompleteTask(std::move(task));
-  }
-}
-
-void QueryEngine::Drain() {
-  MutexLock drain_lock(drain_mu_);
-  std::thread dispatch;
-  {
-    MutexLock lock(dispatch_mu_);
-    if (drained_) return;
-    drained_ = true;
-    dispatch_stop_ = true;
-    dispatch.swap(dispatch_thread_);
-  }
-  dispatch_cv_.notify_all();
-  // The dispatch loop runs every queued batch before exiting, and it
-  // must be gone before the pool is drained — its Searches fan out on
-  // the pool.
-  if (dispatch.joinable()) dispatch.join();
-  pool_->Drain();
-}
-
 std::vector<std::vector<Neighbor>> QueryEngine::Search(
     const index::PackedCodes& queries, int k,
     const obs::TraceContext& trace) {

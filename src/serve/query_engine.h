@@ -3,11 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <future>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/annotated_sync.h"
@@ -62,7 +58,6 @@ class QueryEngine {
  public:
   QueryEngine(std::unique_ptr<ShardedIndex> index,
               const QueryEngineOptions& options = {});
-  ~QueryEngine();
 
   /// Top-k neighbors for each of `queries` (packed, same bit width as the
   /// corpus). Returns one ascending (distance, id) list per query.
@@ -81,52 +76,10 @@ class QueryEngine {
   /// Single-query convenience wrapper over the batched path.
   std::vector<index::Neighbor> SearchOne(const uint64_t* query, int k);
 
-  /// Per-batch completion callback: one ascending result list per query
-  /// in query order — exactly what Search returns. It runs exactly once,
-  /// and the engine's in-flight counter is decremented after it returns.
-  using BatchCallback =
-      std::function<void(std::vector<std::vector<index::Neighbor>>)>;
-
-  /// \name Non-blocking batch seam (driven by the pipeline's Batcher)
-  ///
-  /// SubmitBatch enqueues the batch on the engine's dispatch thread and
-  /// returns immediately; the dispatch thread runs Search (whose fan-out
-  /// uses the worker pool) and invokes `done` with results byte-identical
-  /// to a synchronous Search of the same batch at the same epoch. Batches
-  /// execute in submission order, one at a time per engine — replication
-  /// is the cross-batch parallelism lever, keeping each engine's pool
-  /// contention-free. The dispatch thread is started lazily on the first
-  /// SubmitBatch, so purely synchronous engines never pay for it. After
-  /// Drain() the submission runs inline on the caller (still completed,
-  /// never dropped).
-  ///@{
-  void SubmitBatch(index::PackedCodes queries, int k, BatchCallback done) {
-    SubmitBatch(std::move(queries), k, obs::TraceContext{}, std::move(done));
-  }
-
-  /// Traced form — the batch's trace context rides along to the
-  /// dispatch thread, so the eventual Search hangs its spans under the
-  /// batch that carried it.
-  void SubmitBatch(index::PackedCodes queries, int k, obs::TraceContext trace,
-                   BatchCallback done);
-
-  /// Future-returning convenience wrapper over the callback form.
-  std::future<std::vector<std::vector<index::Neighbor>>> SubmitBatch(
-      index::PackedCodes queries, int k);
-
-  /// Queries admitted through SubmitBatch whose callback has not yet
-  /// returned — the load signal the least-loaded router balances on.
-  int64_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
-
-  /// Orderly shutdown of the async machinery: runs every already-
-  /// submitted batch to completion (callbacks included), joins the
-  /// dispatch thread, then drains the worker pool. Idempotent; the
-  /// destructor calls it. Search/SubmitBatch afterwards still work,
-  /// inline and single-threaded.
-  void Drain();
-  ///@}
+  /// Orderly shutdown: drains the worker pool (queued work finishes,
+  /// workers join). Idempotent; the pool's destructor runs it too.
+  /// Search afterwards still works, inline and single-threaded.
+  void Drain() { pool_->Drain(); }
 
   /// Appends a batch of codes to the corpus (routed to the least-full
   /// shard) and bumps the epoch. Returns the assigned global ids.
@@ -174,18 +127,6 @@ class QueryEngine {
   size_t cache_size() const { return cache_.size(); }
 
  private:
-  /// One queued SubmitBatch.
-  struct DispatchTask {
-    index::PackedCodes queries;
-    int k = 0;
-    obs::TraceContext trace;
-    BatchCallback done;
-  };
-
-  void DispatchLoop();
-  /// Runs one task, then decrements the in-flight counter — the single
-  /// completion path.
-  void CompleteTask(DispatchTask task);
   /// Auto-compaction check. Returns true when anything was reclaimed
   /// (the caller's epoch bump covers it).
   bool MaybeCompactLocked() UHSCM_REQUIRES(update_mu_);
@@ -224,25 +165,6 @@ class QueryEngine {
   std::atomic<int64_t> compactions_{0};
   std::atomic<int64_t> compact_rows_reclaimed_{0};
   std::atomic<int64_t> compact_micros_{0};
-
-  /// Async dispatch state. The thread is lazily created under
-  /// dispatch_mu_ and joined by Drain() *before* pool_ is torn down —
-  /// the destruction-ordering contract that lets in-flight batches use
-  /// the pool safely at shutdown.
-  mutable Mutex dispatch_mu_{"engine.dispatch", 72};
-  CondVar dispatch_cv_;
-  std::deque<DispatchTask> dispatch_tasks_ UHSCM_GUARDED_BY(dispatch_mu_);
-  std::thread dispatch_thread_ UHSCM_GUARDED_BY(dispatch_mu_);
-  bool dispatch_stop_ UHSCM_GUARDED_BY(dispatch_mu_) = false;
-  bool drained_ UHSCM_GUARDED_BY(dispatch_mu_) = false;
-  /// Serializes Drain callers (same pattern as ThreadPool::Drain): a
-  /// second drain — or the destructor — must not return while the first
-  /// is still joining the dispatch thread and draining the pool.
-  Mutex drain_mu_{"engine.drain", 80};
-  /// Relaxed: load-balancing signal only (least-loaded routing); no data
-  /// is published through it and a momentarily stale read just routes one
-  /// batch suboptimally.
-  std::atomic<int64_t> inflight_{0};
 };
 
 /// Slices a query stream into `batch`-sized PackedCodes (the final batch

@@ -35,9 +35,8 @@ struct PendingRequest {
   std::chrono::steady_clock::time_point admit_time;
   /// Absolute deadline; time_point::max() means none. The batcher
   /// checks it at flush time — an overdue request resolves
-  /// kDeadlineExceeded instead of being dispatched — and again before
-  /// any retry, so a request never burns replica time it can no longer
-  /// use.
+  /// kDeadlineExceeded instead of being searched, so a request never
+  /// burns engine time it can no longer use.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
   obs::TraceContext trace;

@@ -174,71 +174,9 @@ void PipelineStats::Reset() {
   batch_size_hist_.fill(0);
 }
 
-ServeStatsSnapshot AggregateServeStats(
-    const std::vector<ServeStatsSnapshot>& per_replica) {
-  ServeStatsSnapshot agg;
-  agg.replicas = static_cast<int>(per_replica.size());
-  for (const ServeStatsSnapshot& snap : per_replica) {
-    agg.queries += snap.queries;
-    agg.batches += snap.batches;
-    agg.cache_hits += snap.cache_hits;
-    agg.cache_misses += snap.cache_misses;
-    agg.cache_evictions += snap.cache_evictions;
-    agg.appends += snap.appends;
-    agg.removes += snap.removes;
-    agg.compactions += snap.compactions;
-    agg.compact_rows_reclaimed += snap.compact_rows_reclaimed;
-    agg.compaction_ms += snap.compaction_ms;
-    agg.busy_seconds += snap.busy_seconds;
-    agg.wall_seconds = std::max(agg.wall_seconds, snap.wall_seconds);
-    agg.epoch = std::max(agg.epoch, snap.epoch);
-    agg.queue_depth += snap.queue_depth;
-    agg.batches_flushed_by_size += snap.batches_flushed_by_size;
-    agg.batches_flushed_by_timeout += snap.batches_flushed_by_timeout;
-    agg.rejected_requests += snap.rejected_requests;
-    agg.deadline_exceeded += snap.deadline_exceeded;
-    for (int b = 0; b < kBatchSizeBuckets; ++b) {
-      agg.batch_size_hist[static_cast<size_t>(b)] +=
-          snap.batch_size_hist[static_cast<size_t>(b)];
-    }
-    agg.latency_hist.Merge(snap.latency_hist);
-    agg.queue_wait_hist.Merge(snap.queue_wait_hist);
-  }
-  if (!agg.latency_hist.empty()) {
-    FillLatencyFields(agg.latency_hist, &agg);
-  } else {
-    // No bucket data (hand-built snapshots): fall back to the
-    // conservative worst-replica bound — exact pooled percentiles
-    // cannot be recovered from per-replica summaries.
-    for (const ServeStatsSnapshot& snap : per_replica) {
-      agg.latency_p50_ms = std::max(agg.latency_p50_ms, snap.latency_p50_ms);
-      agg.latency_p99_ms = std::max(agg.latency_p99_ms, snap.latency_p99_ms);
-      agg.latency_mean_ms =
-          std::max(agg.latency_mean_ms, snap.latency_mean_ms);
-    }
-  }
-  if (!agg.queue_wait_hist.empty()) {
-    agg.time_in_queue_p50_ms =
-        static_cast<double>(agg.queue_wait_hist.ValueAtPercentile(50.0)) /
-        1e6;
-    agg.time_in_queue_p99_ms =
-        static_cast<double>(agg.queue_wait_hist.ValueAtPercentile(99.0)) /
-        1e6;
-  } else {
-    for (const ServeStatsSnapshot& snap : per_replica) {
-      agg.time_in_queue_p50_ms =
-          std::max(agg.time_in_queue_p50_ms, snap.time_in_queue_p50_ms);
-      agg.time_in_queue_p99_ms =
-          std::max(agg.time_in_queue_p99_ms, snap.time_in_queue_p99_ms);
-    }
-  }
-  return agg;
-}
-
 void FillRegistry(const ServeStatsSnapshot& snap, obs::MetricsRegistry* reg) {
   reg->GetGauge("serve.queries")->Set(snap.queries);
   reg->GetGauge("serve.batches")->Set(snap.batches);
-  reg->GetGauge("serve.replicas")->Set(snap.replicas);
   reg->GetGauge("serve.epoch")->Set(static_cast<int64_t>(snap.epoch));
   reg->GetGauge("cache.hits")->Set(snap.cache_hits);
   reg->GetGauge("cache.misses")->Set(snap.cache_misses);

@@ -52,9 +52,7 @@ struct ServeStatsSnapshot {
   double latency_mean_ms = 0.0;
 
   /// Per-query completion-latency distribution in nanoseconds. The
-  /// latency_*_ms fields above are derived from it; it rides along so
-  /// AggregateServeStats can merge buckets across replicas and compute
-  /// pooled percentiles instead of taking the worst replica.
+  /// latency_*_ms fields above are derived from it.
   obs::HistogramSnapshot latency_hist;
 
   // --- async pipeline counters (all zero when serving synchronously;
@@ -73,13 +71,10 @@ struct ServeStatsSnapshot {
   /// Admission-to-flush wait percentiles.
   double time_in_queue_p50_ms = 0.0;
   double time_in_queue_p99_ms = 0.0;
-  /// Admission-to-flush wait distribution in nanoseconds (mergeable,
-  /// like latency_hist).
+  /// Admission-to-flush wait distribution in nanoseconds.
   obs::HistogramSnapshot queue_wait_hist;
-  /// Replica count this snapshot aggregates over (0 = single engine).
-  int replicas = 0;
 
-  /// Requests resolved kDeadlineExceeded before reaching a replica
+  /// Requests resolved kDeadlineExceeded before reaching the engine
   /// (filled in by Batcher::stats()).
   int64_t deadline_exceeded = 0;
 
@@ -179,7 +174,7 @@ class PipelineStats {
   void RecordDeadlineExceeded(int count);
 
   /// Fills the pipeline + latency + queries/batches fields of *snap
-  /// (leaves cache/update fields alone — those belong to the engines).
+  /// (leaves cache/update fields alone — those belong to the engine).
   void FillSnapshot(ServeStatsSnapshot* snap) const;
 
   void Reset();
@@ -198,19 +193,6 @@ class PipelineStats {
   std::array<int64_t, kBatchSizeBuckets> batch_size_hist_ UHSCM_GUARDED_BY(
       mu_){};
 };
-
-/// Sums per-replica engine snapshots into one corpus-wide view: counters
-/// add; busy_seconds add (total engine work) while wall_seconds takes
-/// the max (replicas run concurrently over the same elapsed time);
-/// epoch takes the max (replicas are update-coherent, so they agree
-/// outside an in-flight fan-out). Latency percentiles are computed from
-/// the *merged* latency histograms — bucket counts add exactly, so the
-/// result matches pooled-sample percentiles within bucket resolution.
-/// Snapshots without histogram data (hand-built, or from older captures)
-/// fall back to the conservative worst-replica percentile bound.
-/// `replicas` is set to the input count.
-ServeStatsSnapshot AggregateServeStats(
-    const std::vector<ServeStatsSnapshot>& per_replica);
 
 /// Publishes a snapshot's counters into a registry as gauges
 /// (`serve.*`, `cache.*`, `update.*`, `compact.*`, `pipeline.*`) so the

@@ -58,13 +58,10 @@ struct InjectorGuard {
 };
 
 struct Pipeline {
-  explicit Pipeline(const PackedCodes& corpus, int replicas,
-                    const BatcherOptions& batcher_options,
-                    RoutePolicy policy = RoutePolicy::kLeastLoaded) {
-    ReplicaSetOptions options;
-    options.replicas = replicas;
-    replica_set = std::make_unique<ReplicaSet>(corpus, options);
-    router = std::make_unique<Router>(replica_set.get(), policy);
+  Pipeline(const PackedCodes& corpus, const BatcherOptions& batcher_options) {
+    replica_set = std::make_unique<ReplicaSet>(io::CodesSnapshot{corpus},
+                                               ReplicaSetOptions{});
+    router = std::make_unique<Router>(replica_set.get());
     batcher = std::make_unique<Batcher>(router.get(), batcher_options);
   }
   std::unique_ptr<ReplicaSet> replica_set;
@@ -123,7 +120,7 @@ TEST(PipelineFaultTest, ExpiredDeadlineResolvesWithoutTouchingAReplica) {
   BatcherOptions batcher_options;
   batcher_options.max_batch = 4;
   batcher_options.timeout_us = 200;
-  Pipeline pipeline(corpus, 1, batcher_options);
+  Pipeline pipeline(corpus, batcher_options);
 
   // Already-expired deadlines: the flush must expire them all.
   const auto past = std::chrono::steady_clock::now() -
@@ -156,7 +153,7 @@ TEST(PipelineFaultTest, AdmissionFaultShedsExactlyTheArmedWindow) {
   BatcherOptions batcher_options;
   batcher_options.max_batch = 4;
   batcher_options.timeout_us = 200;
-  Pipeline pipeline(corpus, 1, batcher_options);
+  Pipeline pipeline(corpus, batcher_options);
 
   FaultSpec shed;
   shed.max_fires = 3;
@@ -198,18 +195,18 @@ TEST(PipelineFaultTest, RandomizedFaultScheduleEveryFutureResolves) {
     int q = 0;
     int k = 0;
   };
-  for (int replicas = 1; replicas <= 3; ++replicas) {
-    SCOPED_TRACE("replicas=" + std::to_string(replicas));
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
     InjectorGuard guard;
-    Rng rng(2023 + static_cast<uint64_t>(replicas));
-    FaultInjector::Global().Seed(7 + static_cast<uint64_t>(replicas));
+    Rng rng(2023 + seed);
+    FaultInjector::Global().Seed(7 + seed);
 
     BatcherOptions batcher_options;
     batcher_options.max_batch = 8;
     batcher_options.timeout_us = 200;
-    Pipeline pipeline(corpus, replicas, batcher_options);
+    Pipeline pipeline(corpus, batcher_options);
 
-    // The drain lands mid-stream: batches are in flight and requests
+    // The drain lands mid-stream: a batch is being searched and requests
     // are queued when it closes the pipeline, and later rounds keep
     // submitting into the closed queue.
     const int drain_round = 10 + static_cast<int>(rng.UniformInt(10));
@@ -281,15 +278,6 @@ TEST(PipelineFaultTest, RandomizedFaultScheduleEveryFutureResolves) {
     EXPECT_EQ(stats.deadline_exceeded, expired);
     EXPECT_EQ(stats.rejected_requests, unavailable);
     EXPECT_EQ(pipeline.batcher->queue_depth(), 0u);
-
-    // Engine inflight counters decrement after the batcher's callback
-    // returns; joining the dispatch threads closes that window before the
-    // zero check.
-    pipeline.replica_set->DrainAll();
-    for (int r = 0; r < replicas; ++r) {
-      EXPECT_EQ(pipeline.replica_set->Inflight(r), 0)
-          << "in-flight accounting must return to zero on replica " << r;
-    }
   }
 }
 

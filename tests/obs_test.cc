@@ -26,7 +26,6 @@
 #include "serve/batcher.h"
 #include "serve/replica_set.h"
 #include "serve/router.h"
-#include "serve/serve_stats.h"
 #include "test_util.h"
 
 namespace uhscm::obs {
@@ -418,10 +417,9 @@ TEST(PipelineTraceTest, EndToEndSpanVocabulary) {
   recorder.SetSampleEvery(1);
 
   {
-    serve::ReplicaSetOptions options;
-    options.replicas = 1;
-    serve::ReplicaSet replica_set(corpus, options);
-    serve::Router router(&replica_set, serve::RoutePolicy::kLeastLoaded);
+    serve::ReplicaSet replica_set(io::CodesSnapshot{corpus},
+                                  serve::ReplicaSetOptions{});
+    serve::Router router(&replica_set);
     serve::BatcherOptions batcher_options;
     batcher_options.max_batch = 8;
     batcher_options.timeout_us = 200;
@@ -444,48 +442,13 @@ TEST(PipelineTraceTest, EndToEndSpanVocabulary) {
   }
   // The full per-request vocabulary from admission to merge.
   for (const char* required :
-       {"request", "admit", "batch", "route", "search", "cache-lookup",
-        "scan", "shard-scan", "merge"}) {
+       {"request", "admit", "batch", "search", "cache-lookup", "scan",
+        "shard-scan", "merge"}) {
     EXPECT_TRUE(names.count(required)) << "missing span: " << required;
   }
   // Spans form a tree: every admit hangs under some request root.
   EXPECT_NE(admit_parent, 0u);
   EXPECT_NE(request_id, 0u);
-}
-
-// ---------------------------------------------------------------------
-// AggregateServeStats pools histograms (the cross-replica acceptance
-// criterion: merged p50/p99 match pooled samples within resolution)
-
-TEST(AggregateStatsTest, MergedPercentilesMatchPooledGroundTruth) {
-  Rng rng(303);
-  constexpr int kReplicas = 3;
-  std::vector<serve::ServeStats> stats(kReplicas);
-  std::vector<double> pooled_ms;
-  for (int r = 0; r < kReplicas; ++r) {
-    for (int i = 0; i < 5000; ++i) {
-      // Each replica sees a different latency scale — the exact setup
-      // where max-over-replica-p99s is wrong and pooling is right.
-      const double ms = std::pow(10.0, rng.Uniform(-1.0 + r, 1.0 + r));
-      stats[static_cast<size_t>(r)].RecordBatch(1, 0, ms / 1e3);
-      pooled_ms.push_back(ms);
-    }
-  }
-  std::vector<serve::ServeStatsSnapshot> snaps;
-  for (const serve::ServeStats& s : stats) snaps.push_back(s.Snapshot());
-  const serve::ServeStatsSnapshot agg = serve::AggregateServeStats(snaps);
-  EXPECT_EQ(agg.queries, kReplicas * 5000);
-  EXPECT_EQ(agg.replicas, kReplicas);
-
-  const double true_p50 = serve::Percentile(pooled_ms, 50.0);
-  const double true_p99 = serve::Percentile(pooled_ms, 99.0);
-  EXPECT_NEAR(agg.latency_p50_ms, true_p50, true_p50 * kRelTolerance);
-  EXPECT_NEAR(agg.latency_p99_ms, true_p99, true_p99 * kRelTolerance);
-  // And distinct from the worst-replica-max fallback: replica 2 alone
-  // has a far higher p50 than the pooled distribution.
-  const double replica2_p50 = snaps[2].latency_p50_ms;
-  EXPECT_GT(replica2_p50, agg.latency_p50_ms * 2.0)
-      << "pooling must not degenerate to worst-replica max";
 }
 
 }  // namespace

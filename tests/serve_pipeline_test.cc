@@ -1,11 +1,11 @@
-// Async request pipeline: admission queue, adaptive batcher, router,
-// replica set, and the drain/shutdown protocol. The load-bearing
+// Async request pipeline: admission queue, adaptive batcher searching
+// the engine, and the drain/shutdown protocol. The load-bearing
 // invariants:
 //   * every future handed out resolves — with results or a shutdown
 //     Status, never silently dropped;
 //   * pipeline results are byte-identical to synchronous
 //     QueryEngine::Search on the same corpus at the same epoch, under
-//     any replica count, routing policy, and update interleaving;
+//     any batch shape and update interleaving;
 //   * flush reasons follow the B-or-T contract (B-exact flushes count
 //     as by-size, stragglers flush by timeout).
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <future>
 #include <limits>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -110,13 +111,10 @@ TEST(RequestQueueTest, ShutdownWithNonEmptyQueueFailsEveryPending) {
 // Batcher flush contract
 
 struct Pipeline {
-  explicit Pipeline(const PackedCodes& corpus, int replicas,
-                    const BatcherOptions& batcher_options,
-                    RoutePolicy policy = RoutePolicy::kLeastLoaded) {
-    ReplicaSetOptions options;
-    options.replicas = replicas;
-    replica_set = std::make_unique<ReplicaSet>(corpus, options);
-    router = std::make_unique<Router>(replica_set.get(), policy);
+  Pipeline(const PackedCodes& corpus, const BatcherOptions& batcher_options) {
+    replica_set = std::make_unique<ReplicaSet>(io::CodesSnapshot{corpus},
+                                               ReplicaSetOptions{});
+    router = std::make_unique<Router>(replica_set.get());
     batcher = std::make_unique<Batcher>(router.get(), batcher_options);
   }
   std::unique_ptr<ReplicaSet> replica_set;
@@ -129,7 +127,7 @@ TEST(BatcherTest, BExactFlushCountsAsBySize) {
   BatcherOptions options;
   options.max_batch = 8;
   options.timeout_us = 60L * 1000 * 1000;  // T can't fire in this test
-  Pipeline pipeline(corpus, 1, options);
+  Pipeline pipeline(corpus, options);
 
   std::vector<std::future<SearchResponse>> futures;
   for (int q = 0; q < 8; ++q) {
@@ -153,13 +151,13 @@ TEST(BatcherTest, SingleStragglerFlushesByTimeout) {
   BatcherOptions options;
   options.max_batch = 64;  // B can't fire with one request
   options.timeout_us = 2000;
-  Pipeline pipeline(corpus, 1, options);
+  Pipeline pipeline(corpus, options);
 
   std::future<SearchResponse> future = pipeline.batcher->Submit(corpus, 0, 5);
   const SearchResponse response = future.get();  // resolves despite B >> 1
   ASSERT_TRUE(response.status.ok());
   ExpectSameNeighbors(
-      pipeline.replica_set->replica(0)->SearchOne(corpus.code(0), 5),
+      pipeline.replica_set->engine()->SearchOne(corpus.code(0), 5),
       response.neighbors);
 
   const ServeStatsSnapshot stats = pipeline.batcher->stats();
@@ -171,7 +169,7 @@ TEST(BatcherTest, SingleStragglerFlushesByTimeout) {
 
 TEST(BatcherTest, MalformedWordCountRejectedUpFront) {
   const PackedCodes corpus = RandomCorpus(50, 128, 23);  // 2 words/code
-  Pipeline pipeline(corpus, 1, {});
+  Pipeline pipeline(corpus, {});
   const uint64_t one_word = 5;
   std::future<SearchResponse> future =
       pipeline.batcher->Submit(&one_word, 1, 3);
@@ -181,11 +179,13 @@ TEST(BatcherTest, MalformedWordCountRejectedUpFront) {
 // ---------------------------------------------------------------------
 // Byte-identity with the synchronous path
 
+// Batch shapes (B, T µs): one query per flush, the CLI-sized default
+// region, and batches wider than the stream's per-k groups.
 class PipelineIdentitySweep
-    : public ::testing::TestWithParam<std::tuple<int, RoutePolicy>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int64_t>> {};
 
 TEST_P(PipelineIdentitySweep, MatchesSynchronousSearch) {
-  const auto [replicas, policy] = GetParam();
+  const auto [max_batch, timeout_us] = GetParam();
   const int n = 400, bits = 128;
   const PackedCodes corpus = RandomCorpus(n, bits, 31);
   const PackedCodes queries = RandomCorpus(60, bits, 32);
@@ -197,9 +197,9 @@ TEST_P(PipelineIdentitySweep, MatchesSynchronousSearch) {
       {});
 
   BatcherOptions options;
-  options.max_batch = 16;
-  options.timeout_us = 300;
-  Pipeline pipeline(corpus, replicas, options, policy);
+  options.max_batch = max_batch;
+  options.timeout_us = timeout_us;
+  Pipeline pipeline(corpus, options);
 
   // Mixed k across the stream: exercises the per-k grouping inside one
   // flush.
@@ -220,10 +220,10 @@ TEST_P(PipelineIdentitySweep, MatchesSynchronousSearch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Configs, PipelineIdentitySweep,
-    ::testing::Combine(::testing::Values(1, 2, 3),
-                       ::testing::Values(RoutePolicy::kRoundRobin,
-                                         RoutePolicy::kLeastLoaded)));
+    BatchShapes, PipelineIdentitySweep,
+    ::testing::Values(std::make_tuple(1, int64_t{50}),
+                      std::make_tuple(16, int64_t{300}),
+                      std::make_tuple(64, int64_t{2000})));
 
 TEST(BatcherTest, ConcurrentSubmitDuringFlushAllResolveCorrectly) {
   const int n = 500, bits = 64, k = 10;
@@ -241,7 +241,7 @@ TEST(BatcherTest, ConcurrentSubmitDuringFlushAllResolveCorrectly) {
   BatcherOptions options;
   options.max_batch = 8;  // many flushes while submissions keep landing
   options.timeout_us = 100;
-  Pipeline pipeline(corpus, 2, options);
+  Pipeline pipeline(corpus, options);
 
   constexpr int kThreads = 8, kRounds = 4;
   std::vector<std::thread> submitters;
@@ -291,7 +291,7 @@ TEST(BatcherTest, DrainResolvesEveryFutureAndRejectsNewWork) {
   BatcherOptions options;
   options.max_batch = 1 << 20;  // size flush unreachable
   options.timeout_us = 60L * 1000 * 1000;  // timeout flush unreachable
-  Pipeline pipeline(corpus, 2, options);
+  Pipeline pipeline(corpus, options);
 
   std::vector<std::future<SearchResponse>> futures;
   for (int q = 0; q < 32; ++q) {
@@ -312,7 +312,7 @@ TEST(BatcherTest, DrainResolvesEveryFutureAndRejectsNewWork) {
     if (response.status.ok()) {
       ++served;
       ExpectSameNeighbors(
-          pipeline.replica_set->replica(0)->SearchOne(corpus.code(q), 5),
+          pipeline.replica_set->engine()->SearchOne(corpus.code(q), 5),
           response.neighbors);
     } else {
       EXPECT_EQ(response.status.code(), StatusCode::kUnavailable);
@@ -329,37 +329,16 @@ TEST(BatcherTest, DrainResolvesEveryFutureAndRejectsNewWork) {
   pipeline.batcher->Drain();  // idempotent
 }
 
-TEST(QueryEngineTest, DrainFlushesInFlightBatchesThenServesInline) {
+TEST(QueryEngineTest, SearchAfterDrainServesInline) {
   const PackedCodes corpus = RandomCorpus(250, 64, 52);
   auto engine = MakeQueryEngine(
       PackedCodes::FromRawWords(corpus.size(), corpus.bits(),
                                 corpus.words()),
       {});
   const std::vector<Neighbor> expect = engine->SearchOne(corpus.code(0), 4);
-
-  std::vector<std::future<std::vector<std::vector<Neighbor>>>> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(engine->SubmitBatch(
-        PackedCodes::FromRawWords(1, corpus.bits(),
-                                  std::vector<uint64_t>(
-                                      corpus.code(0), corpus.code(0) + 1)),
-        4));
-  }
   engine->Drain();
-  for (auto& future : futures) {
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready)
-        << "Drain must complete already-submitted batches";
-    ExpectSameNeighbors(expect, future.get()[0]);
-  }
-  // Post-drain submissions complete inline — still never dropped.
-  auto late = engine->SubmitBatch(
-      PackedCodes::FromRawWords(
-          1, corpus.bits(),
-          std::vector<uint64_t>(corpus.code(0), corpus.code(0) + 1)),
-      4);
-  ExpectSameNeighbors(expect, late.get()[0]);
-  // And the synchronous path works too (pool drained -> inline loops).
+  engine->Drain();  // idempotent
+  // The drained pool runs the scan and merge loops inline.
   ExpectSameNeighbors(expect, engine->SearchOne(corpus.code(0), 4));
 }
 
@@ -373,91 +352,12 @@ TEST(ThreadPoolTest, DrainKeepsParallelForCorrect) {
   for (const std::atomic<int>& c : counts) EXPECT_EQ(c.load(), 2);
 }
 
-// ---------------------------------------------------------------------
-// Router
-
-TEST(RouterTest, RoundRobinCyclesReplicas) {
-  const PackedCodes corpus = RandomCorpus(90, 64, 61);
-  ReplicaSetOptions options;
-  options.replicas = 3;
-  ReplicaSet replicas(corpus, options);
-  Router router(&replicas, RoutePolicy::kRoundRobin);
-  for (int i = 0; i < 9; ++i) {
-    EXPECT_EQ(router.Route(), i % 3);
-  }
-  for (int r = 0; r < 3; ++r) EXPECT_EQ(router.routed(r), 3);
-}
-
-TEST(RouterTest, LeastLoadedAvoidsBusyReplica) {
-  const PackedCodes corpus = RandomCorpus(120, 64, 62);
-  ReplicaSetOptions options;
-  options.replicas = 2;
-  ReplicaSet replicas(corpus, options);
-  Router router(&replicas, RoutePolicy::kLeastLoaded);
-  EXPECT_EQ(router.Route(), 0) << "all idle: ties break to the lowest index";
-
-  // Hold a batch in flight on replica 0 by blocking in its callback
-  // (inflight decrements only after the callback returns).
-  std::promise<void> release;
-  std::shared_future<void> release_future = release.get_future().share();
-  std::promise<void> entered;
-  replicas.replica(0)->SubmitBatch(
-      PackedCodes::FromRawWords(
-          1, corpus.bits(),
-          std::vector<uint64_t>(corpus.code(0), corpus.code(0) + 1)),
-      3, [&entered, release_future](std::vector<std::vector<Neighbor>>) {
-        entered.set_value();
-        release_future.wait();
-      });
-  entered.get_future().wait();
-  EXPECT_GT(replicas.Inflight(0), 0);
-  EXPECT_EQ(router.Route(), 1) << "replica 0 is loaded";
-  release.set_value();
-  replicas.replica(0)->Drain();
-  EXPECT_EQ(replicas.Inflight(0), 0);
-}
-
-TEST(RouterTest, ParsePolicyNames) {
-  RoutePolicy policy;
-  EXPECT_TRUE(ParseRoutePolicy("rr", &policy));
-  EXPECT_EQ(policy, RoutePolicy::kRoundRobin);
-  EXPECT_TRUE(ParseRoutePolicy("least-loaded", &policy));
-  EXPECT_EQ(policy, RoutePolicy::kLeastLoaded);
-  EXPECT_FALSE(ParseRoutePolicy("random", &policy));
-}
-
-// ---------------------------------------------------------------------
-// Replica coherence under updates
-
-TEST(ReplicaSetTest, FanOutKeepsReplicasCoherent) {
-  const PackedCodes corpus = RandomCorpus(100, 64, 71);
-  const PackedCodes extra = RandomCorpus(30, 64, 72);
-  ReplicaSetOptions options;
-  options.replicas = 3;
-  ReplicaSet replicas(corpus, options);
-
-  const std::vector<int> ids = replicas.Append(extra);
-  ASSERT_EQ(ids.size(), 30u);
-  EXPECT_EQ(ids.front(), 100);
-  EXPECT_EQ(replicas.RemoveIds({0, 5, 100, 129}), 4);
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(replicas.replica(r)->epoch(), 2u) << "replica " << r;
-    EXPECT_EQ(replicas.replica(r)->index().size(), 126) << "replica " << r;
-  }
-  const ServeStatsSnapshot stats = replicas.AggregatedStats();
-  EXPECT_EQ(stats.replicas, 3);
-  EXPECT_EQ(stats.epoch, 2u);
-  // Fanned updates appear once per replica in the summed counters.
-  EXPECT_EQ(stats.appends, 3 * 30);
-  EXPECT_EQ(stats.removes, 3 * 4);
-}
-
 TEST(PipelineIdentityTest, RandomizedInterleavedUpdatesStayByteIdentical) {
-  // Rounds of (pipeline traffic, fan-out append/remove) against a
+  // Rounds of (pipeline traffic, append/remove) against a
   // synchronous reference engine receiving the identical update
   // sequence: after every round, pipeline answers must be byte-identical
   // to the reference — same corpus, same epoch, same (distance, id)
-  // lists — regardless of which replica served which query.
+  // lists.
   const int bits = 64, k = 8;
   Rng rng(81);
   const PackedCodes corpus = RandomCorpus(300, bits, 82);
@@ -470,7 +370,7 @@ TEST(PipelineIdentityTest, RandomizedInterleavedUpdatesStayByteIdentical) {
   BatcherOptions batcher_options;
   batcher_options.max_batch = 8;
   batcher_options.timeout_us = 200;
-  Pipeline pipeline(corpus, 2, batcher_options);
+  Pipeline pipeline(corpus, batcher_options);
 
   int total_rows = corpus.size();
   for (int round = 0; round < 6; ++round) {
@@ -507,7 +407,7 @@ TEST(PipelineIdentityTest, RandomizedInterleavedUpdatesStayByteIdentical) {
 }
 
 TEST(PipelineIdentityTest, CompactionUnderPipelineTrafficIsInvisible) {
-  // Rounds of (pipeline traffic, fan-out append/remove/compact) against
+  // Rounds of (pipeline traffic, append/remove/compact) against
   // a synchronous reference engine that receives the same appends and
   // removes but NEVER compacts: pipeline answers must stay byte-identical
   // — compaction must be invisible to every query, including the global
@@ -524,7 +424,7 @@ TEST(PipelineIdentityTest, CompactionUnderPipelineTrafficIsInvisible) {
   BatcherOptions batcher_options;
   batcher_options.max_batch = 8;
   batcher_options.timeout_us = 200;
-  Pipeline pipeline(corpus, 2, batcher_options);
+  Pipeline pipeline(corpus, batcher_options);
 
   int total_rows = corpus.size();
   for (int round = 0; round < 5; ++round) {
@@ -541,11 +441,9 @@ TEST(PipelineIdentityTest, CompactionUnderPipelineTrafficIsInvisible) {
     const int newly_dead = pipeline.replica_set->RemoveIds(doomed);
     ASSERT_EQ(newly_dead, reference->RemoveIds(doomed));
 
-    // Compact all replicas; the fan-out asserts identical reclaim
-    // counts and epochs internally. Every previous round left the
-    // corpus fully compacted, so this round reclaims exactly the rows
-    // that just died.
-    const CompactionStats stats = pipeline.replica_set->Compact();
+    // Every previous round left the corpus fully compacted, so this
+    // round reclaims exactly the rows that just died.
+    const CompactionStats stats = pipeline.replica_set->engine()->Compact();
     EXPECT_EQ(stats.rows_reclaimed, newly_dead) << "round " << round;
 
     std::vector<std::future<SearchResponse>> futures;
@@ -559,7 +457,7 @@ TEST(PipelineIdentityTest, CompactionUnderPipelineTrafficIsInvisible) {
                           response.neighbors);
     }
   }
-  const ServeStatsSnapshot stats = pipeline.replica_set->AggregatedStats();
+  const ServeStatsSnapshot stats = pipeline.replica_set->engine()->stats();
   EXPECT_GT(stats.compactions, 0);
   EXPECT_GT(stats.compact_rows_reclaimed, 0);
 }
@@ -663,32 +561,7 @@ TEST(ServeStatsTest, BatchSizeBucketBoundaries) {
             BatchSizeBucketLabel(kBatchSizeBuckets - 1));
 }
 
-TEST(ServeStatsTest, AggregateServeStatsEmptyAndSingle) {
-  // Empty input: a well-formed all-zero snapshot, not a crash or NaN.
-  const ServeStatsSnapshot none = AggregateServeStats({});
-  EXPECT_EQ(none.replicas, 0);
-  EXPECT_EQ(none.queries, 0);
-  EXPECT_DOUBLE_EQ(none.qps(), 0.0);
-  EXPECT_DOUBLE_EQ(none.latency_p99_ms, 0.0);
-  EXPECT_TRUE(none.latency_hist.empty());
-
-  // Single replica: aggregation is the identity (histogram included).
-  ServeStats stats;
-  stats.RecordBatch(4, 1, 0.010);
-  stats.RecordBatch(2, 0, 0.030);
-  const ServeStatsSnapshot snap = stats.Snapshot();
-  const ServeStatsSnapshot agg = AggregateServeStats({snap});
-  EXPECT_EQ(agg.replicas, 1);
-  EXPECT_EQ(agg.queries, snap.queries);
-  EXPECT_EQ(agg.cache_hits, snap.cache_hits);
-  EXPECT_DOUBLE_EQ(agg.busy_seconds, snap.busy_seconds);
-  EXPECT_DOUBLE_EQ(agg.wall_seconds, snap.wall_seconds);
-  EXPECT_DOUBLE_EQ(agg.latency_p50_ms, snap.latency_p50_ms);
-  EXPECT_DOUBLE_EQ(agg.latency_p99_ms, snap.latency_p99_ms);
-  EXPECT_EQ(agg.latency_hist.total, snap.latency_hist.total);
-}
-
-TEST(ServeStatsTest, PipelineStatsFillAndAggregate) {
+TEST(ServeStatsTest, PipelineStatsFillSnapshot) {
   PipelineStats stats;
   stats.RecordFlush(8, /*by_timeout=*/false);
   stats.RecordFlush(3, /*by_timeout=*/true);
@@ -707,22 +580,6 @@ TEST(ServeStatsTest, PipelineStatsFillAndAggregate) {
   EXPECT_GT(snap.time_in_queue_p50_ms, 0.0);
   EXPECT_GE(snap.time_in_queue_p99_ms, snap.time_in_queue_p50_ms);
   EXPECT_GE(snap.latency_p99_ms, snap.latency_p50_ms);
-
-  ServeStatsSnapshot a, b;
-  a.queries = 10;
-  a.cache_hits = 4;
-  a.epoch = 3;
-  a.latency_p99_ms = 1.0;
-  b.queries = 20;
-  b.cache_hits = 1;
-  b.epoch = 3;
-  b.latency_p99_ms = 2.5;
-  const ServeStatsSnapshot agg = AggregateServeStats({a, b});
-  EXPECT_EQ(agg.queries, 30);
-  EXPECT_EQ(agg.cache_hits, 5);
-  EXPECT_EQ(agg.epoch, 3u);
-  EXPECT_EQ(agg.replicas, 2);
-  EXPECT_DOUBLE_EQ(agg.latency_p99_ms, 2.5);
 }
 
 }  // namespace

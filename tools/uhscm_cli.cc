@@ -29,18 +29,17 @@
 //       report (stats + group membership) as JSON.
 //   serve  --codes=PATH [--model=PATH --dataset=... --seed=N --scale=F]
 //          [--shards=N] [--threads=N] [--backend=scan|mih]
-//          [--replicas=N] [--batch-max=B] [--batch-timeout-us=T]
-//          [--route=rr|least] [--topk=K] [--queries=N]
+//          [--batch-max=B] [--batch-timeout-us=T] [--topk=K] [--queries=N]
 //          [--append=PATH] [--delete-ids=1,5,10-20] [--compact]
 //          [--compact-threshold=F] [--save-snapshot=PATH]
 //          [--deadline-ms=F] [--metrics-json=PATH] [--trace-out=PATH]
 //          [--trace-sample=1/N] [--report-interval-ms=N]
 //          [--slow-query-ms=F]
-//       Hydrates N QueryEngine replicas from the packed codes (legacy v1
+//       Hydrates one QueryEngine from the packed codes (legacy v1
 //       artifact or v2 serving snapshot) behind the async request
 //       pipeline — bounded admission queue, adaptive batcher (flush at B
-//       queries or T microseconds, whichever first), load-aware router —
-//       and replays a query stream through it twice (cold, then
+//       queries or T microseconds, whichever first) searching the engine
+//       — and replays a query stream through it twice (cold, then
 //       cache-hot), printing QPS, latency percentiles, cache hit rate,
 //       queue depth, flush reasons, and time-in-queue percentiles. The
 //       query stream is loaded/encoded once and its packed buffer reused
@@ -48,18 +47,17 @@
 //       split when --model is given, otherwise sampled from the database
 //       codes themselves. --deadline-ms=F stamps every request with a
 //       deadline F ms after its submission; a request still unbatched at
-//       its deadline resolves DeadlineExceeded without reaching a
-//       replica. The observability flags export the metrics registry,
+//       its deadline resolves DeadlineExceeded without reaching the
+//       engine. The observability flags export the metrics registry,
 //       write a Chrome trace of 1-in-N sampled requests, print a
 //       periodic stats line, and log the slowest requests on exit.
 //
-//       Admin ops run after the replay passes and fan out to every
-//       replica: --append=PATH appends a packed-code artifact to the
+//       Admin ops run after the replay passes: --append=PATH appends a packed-code artifact to the
 //       live corpus (routed to the least-full shard), --delete-ids
 //       tombstones global ids, and each bumps the corpus epoch — a third
 //       replay pass then shows the epoch-keyed caches re-filling.
 //       --compact reclaims tombstoned rows (shard rebuild + locator
-//       remap, global ids unchanged) on every replica;
+//       remap, global ids unchanged);
 //       --compact-threshold=F turns on auto-compaction whenever a
 //       shard's dead fraction reaches F. Hydration always compacts a
 //       snapshot's dead rows, so a delete-heavy snapshot reloads
@@ -100,7 +98,6 @@
 #include "index/self_join.h"
 #include "io/serialize.h"
 #include "serve/batcher.h"
-#include "serve/replica_set.h"
 #include "serve/request_queue.h"
 #include "serve/router.h"
 #include "serve/serve_stats.h"
@@ -127,11 +124,9 @@ struct Flags {
   int tile = 0;        // 0 = auto (cache-sized, PickCodeBlockSize)
   std::string json_out;
   int shards = 4;
-  int threads = 0;  // 0 = hardware concurrency (divided across replicas)
-  int replicas = 1;
+  int threads = 0;  // 0 = hardware concurrency
   int batch_max = 32;
   int64_t batch_timeout_us = 200;
-  std::string route = "least";
   std::string backend = "scan";
   std::string append_file;
   std::string delete_ids;
@@ -157,8 +152,8 @@ int Usage() {
                "[--model=PATH] [--codes=PATH] [--file=PATH] [--topk=K] "
                "[--k=K] [--radius=R] [--link=radius|best] [--tile=N] "
                "[--json-out=PATH] "
-               "[--queries=N] [--shards=N] [--threads=N] [--replicas=N] "
-               "[--batch-max=B] [--batch-timeout-us=T] [--route=rr|least] "
+               "[--queries=N] [--shards=N] [--threads=N] "
+               "[--batch-max=B] [--batch-timeout-us=T] "
                "[--backend=scan|mih] [--append=PATH] "
                "[--delete-ids=1,5,10-20] [--compact] "
                "[--compact-threshold=F] [--save-snapshot=PATH] "
@@ -257,17 +252,10 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->shards = std::atoi(arg.c_str() + 9);
     } else if (StartsWith(arg, "--threads=")) {
       flags->threads = std::atoi(arg.c_str() + 10);
-    } else if (StartsWith(arg, "--replicas=")) {
-      flags->replicas = std::atoi(arg.c_str() + 11);
     } else if (StartsWith(arg, "--batch-max=")) {
       flags->batch_max = std::atoi(arg.c_str() + 12);
-    } else if (StartsWith(arg, "--batch=")) {
-      // Legacy alias from the caller-batched serve loop.
-      flags->batch_max = std::atoi(arg.c_str() + 8);
     } else if (StartsWith(arg, "--batch-timeout-us=")) {
       flags->batch_timeout_us = std::atoll(arg.c_str() + 19);
-    } else if (StartsWith(arg, "--route=")) {
-      flags->route = arg.substr(8);
     } else if (StartsWith(arg, "--backend=")) {
       flags->backend = arg.substr(10);
     } else if (StartsWith(arg, "--append=")) {
@@ -660,13 +648,7 @@ int CmdServe(const Flags& flags) {
     std::fprintf(stderr, "serve: --backend must be scan or mih\n");
     return 2;
   }
-  serve::RoutePolicy route_policy;
-  if (!serve::ParseRoutePolicy(flags.route, &route_policy)) {
-    std::fprintf(stderr, "serve: --route must be rr or least\n");
-    return 2;
-  }
   serve::ReplicaSetOptions options;
-  options.replicas = std::max(1, flags.replicas);
   options.serving.index.num_shards = flags.shards;
   options.serving.index.backend =
       flags.backend == "mih" ? serve::ShardBackend::kMultiIndexHash
@@ -730,14 +712,14 @@ int CmdServe(const Flags& flags) {
         taken, snapshot.codes.bits(), std::move(words));
   }
 
-  // The async pipeline: N identically-hydrated replicas behind a
-  // load-aware router, fed by the adaptive batcher. All query traffic
-  // goes through Batcher::Submit — nothing calls Search directly.
-  serve::ReplicaSet replicas(snapshot, options);
-  // Each replica holds its own corpus copy now; drop the loaded
-  // snapshot's buffers so peak memory stays at N copies, not N+1.
+  // The async pipeline: one engine, searched by the adaptive batcher's
+  // flush thread. All query traffic goes through Batcher::Submit.
+  serve::ReplicaSet replica_set(snapshot, options);
+  serve::QueryEngine& engine = *replica_set.engine();
+  // The engine holds its own corpus copy now; drop the loaded
+  // snapshot's buffers so the process keeps one copy, not two.
   snapshot = io::CodesSnapshot();
-  serve::Router router(&replicas, route_policy);
+  serve::Router router(&replica_set);
   serve::BatcherOptions batcher_options;
   batcher_options.max_batch = flags.batch_max;
   batcher_options.timeout_us = flags.batch_timeout_us;
@@ -793,7 +775,6 @@ int CmdServe(const Flags& flags) {
     });
   }
 
-  const serve::QueryEngine& engine0 = *replicas.replica(0);
   // Record the dispatch decision in the registry so every --metrics-json
   // dump says which kernel tier served the run (0=scalar 1=avx2 2=avx512,
   // matching KernelTier's enumerators).
@@ -805,17 +786,15 @@ int CmdServe(const Flags& flags) {
           ? (index::Avx512VpopcntAvailable() ? "+vpopcntdq" : "+harley-seal")
           : "";
   std::printf(
-      "serving %d live / %d total codes @ %d bits: %d replicas x %d shards "
-      "(%s), %d threads each, %s routing, batch B=%d T=%lldus, %s%s kernel, "
-      "epoch %llu\n",
-      engine0.index().size(), engine0.index().total_size(),
-      engine0.index().bits(), replicas.num_replicas(),
-      engine0.index().num_shards(), flags.backend.c_str(),
-      engine0.num_threads(), serve::RoutePolicyName(route_policy),
+      "serving %d live / %d total codes @ %d bits: %d shards (%s), "
+      "%d threads, batch B=%d T=%lldus, %s%s kernel, epoch %llu\n",
+      engine.index().size(), engine.index().total_size(),
+      engine.index().bits(), engine.index().num_shards(),
+      flags.backend.c_str(), engine.num_threads(),
       batcher.options().max_batch,
       static_cast<long long>(batcher.options().timeout_us),
       index::KernelTierName(active_tier), tier_detail,
-      static_cast<unsigned long long>(replicas.epoch()));
+      static_cast<unsigned long long>(engine.epoch()));
 
   TableWriter table({"pass", "queries", "batches", "by_size", "by_timeout",
                      "hit_rate", "tiq_p50_ms", "tiq_p99_ms", "qps", "p50_ms",
@@ -825,7 +804,7 @@ int CmdServe(const Flags& flags) {
   std::array<int64_t, serve::kBatchSizeBuckets> hist_total{};
   auto replay_pass = [&](const char* pass) -> bool {
     // Reset at the start (not the end) so the final pass's engine and
-    // pipeline counters survive for the per-replica table below.
+    // pipeline counters survive for the metrics dump below.
     batcher.ResetStats();
     std::vector<std::future<serve::SearchResponse>> futures;
     futures.reserve(static_cast<size_t>(queries.size()));
@@ -874,10 +853,9 @@ int CmdServe(const Flags& flags) {
   };
   if (!replay_pass("cold") || !replay_pass("cache-hot")) return 1;
 
-  // Admin ops: mutate the live corpus (fanned to every replica so
-  // epochs stay coherent), then replay once more so the post-update pass
-  // shows the epoch-keyed caches re-filling (the cache-hot entries above
-  // are unreachable under the new epoch).
+  // Admin ops: mutate the live corpus, then replay once more so the
+  // post-update pass shows the epoch-keyed cache re-filling (the
+  // cache-hot entries above are unreachable under the new epoch).
   bool updated = false;
   if (!flags.append_file.empty()) {
     Result<index::PackedCodes> extra = io::LoadPackedCodes(flags.append_file);
@@ -885,19 +863,18 @@ int CmdServe(const Flags& flags) {
       std::fprintf(stderr, "%s\n", extra.status().ToString().c_str());
       return 1;
     }
-    if (extra->bits() != engine0.index().bits()) {
+    if (extra->bits() != engine.index().bits()) {
       std::fprintf(stderr,
                    "serve: --append file holds %d-bit codes, corpus is "
                    "%d-bit\n",
-                   extra->bits(), engine0.index().bits());
+                   extra->bits(), engine.index().bits());
       return 1;
     }
-    const std::vector<int> ids = replicas.Append(*extra);
-    std::printf("appended %zu codes (global ids %d..%d) to %d replicas, "
-                "epoch -> %llu\n",
+    const std::vector<int> ids = engine.Append(*extra);
+    std::printf("appended %zu codes (global ids %d..%d), epoch -> %llu\n",
                 ids.size(), ids.empty() ? 0 : ids.front(),
-                ids.empty() ? 0 : ids.back(), replicas.num_replicas(),
-                static_cast<unsigned long long>(replicas.epoch()));
+                ids.empty() ? 0 : ids.back(),
+                static_cast<unsigned long long>(engine.epoch()));
     updated = true;
   }
   if (!flags.delete_ids.empty()) {
@@ -906,23 +883,23 @@ int CmdServe(const Flags& flags) {
       std::fprintf(stderr, "serve: malformed --delete-ids list\n");
       return 2;
     }
-    const int removed = replicas.RemoveIds(ids);
+    const int removed = engine.RemoveIds(ids);
     std::printf("removed %d/%zu ids, epoch -> %llu (%d live / %d total)\n",
                 removed, ids.size(),
-                static_cast<unsigned long long>(replicas.epoch()),
-                engine0.index().size(), engine0.index().total_size());
+                static_cast<unsigned long long>(engine.epoch()),
+                engine.index().size(), engine.index().total_size());
     updated = true;
   }
   if (flags.compact) {
-    // Manual admin compaction, fanned to every replica with coherence
-    // checks. Runs after the deletes above so the reclaim covers them.
-    const serve::CompactionStats stats = replicas.Compact();
+    // Manual admin compaction. Runs after the deletes above so the
+    // reclaim covers them.
+    const serve::CompactionStats stats = engine.Compact();
     std::printf(
-        "compacted %d shard(s), reclaimed %d dead row(s) per replica, "
+        "compacted %d shard(s), reclaimed %d dead row(s), "
         "epoch -> %llu (%d live / %d total ids)\n",
         stats.shards_compacted, stats.rows_reclaimed,
-        static_cast<unsigned long long>(replicas.epoch()),
-        engine0.index().size(), engine0.index().total_size());
+        static_cast<unsigned long long>(engine.epoch()),
+        engine.index().size(), engine.index().total_size());
     updated = updated || stats.rows_reclaimed > 0;
   }
   // Capture the admin ops' mutation/compaction counters before the
@@ -954,43 +931,22 @@ int CmdServe(const Flags& flags) {
   }
   export_metrics(final_snap);
   std::printf("--- metrics ---\n%s", registry.DumpText().c_str());
-  if (replicas.num_replicas() > 1) {
-    // routed_batches counts the whole run; the engine columns cover the
-    // final pass (per-pass resets scope the main table above).
-    TableWriter replica_table(
-        {"replica", "routed_batches", "queries", "hit_rate", "p99_ms"});
-    const std::vector<serve::ServeStatsSnapshot> per_replica =
-        replicas.PerReplicaStats();
-    for (int r = 0; r < replicas.num_replicas(); ++r) {
-      char hit_rate[32], p99[32];
-      std::snprintf(hit_rate, sizeof(hit_rate), "%.2f",
-                    per_replica[static_cast<size_t>(r)].hit_rate());
-      std::snprintf(p99, sizeof(p99), "%.3f",
-                    per_replica[static_cast<size_t>(r)].latency_p99_ms);
-      replica_table.AddRow(
-          {std::to_string(r), std::to_string(router.routed(r)),
-           std::to_string(per_replica[static_cast<size_t>(r)].queries),
-           hit_rate, p99});
-    }
-    replica_table.Print(std::cout);
-  }
 
   if (!flags.save_snapshot.empty()) {
-    // Replicas are update-coherent, so replica 0's corpus is the corpus.
-    Status st = serve::SaveServingSnapshot(engine0, flags.save_snapshot);
+    Status st = serve::SaveServingSnapshot(engine, flags.save_snapshot);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
     std::printf("wrote serving snapshot (v2, epoch %llu, %d live / %d "
                 "total) -> %s\n",
-                static_cast<unsigned long long>(replicas.epoch()),
-                engine0.index().size(), engine0.index().total_size(),
+                static_cast<unsigned long long>(engine.epoch()),
+                engine.index().size(), engine.index().total_size(),
                 flags.save_snapshot.c_str());
   }
-  // Orderly exit: stop the reporter, reject new work, resolve anything
-  // still queued, wait for in-flight batches — then the replicas (and
-  // their pools) tear down with nothing in flight.
+  // Orderly exit: stop the reporter, reject new work, finish the
+  // in-hand batch and resolve anything still queued — then the engine
+  // (and its pool) tears down with nothing in flight.
   if (reporter.joinable()) {
     {
       std::lock_guard<std::mutex> lock(report_mu);
@@ -1002,7 +958,7 @@ int CmdServe(const Flags& flags) {
   batcher.Drain();
 
   // Trace export + slow-query log after the drain so every span of the
-  // run (including in-flight batches at shutdown) is in the ring.
+  // run (including the batch in hand at shutdown) is in the ring.
   if (!flags.trace_out.empty()) {
     if (Status st = recorder.WriteChromeTrace(flags.trace_out); !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());

@@ -42,7 +42,7 @@
 #include "index/batch_scan.h"
 #include "index/packed_codes.h"
 #include "index/self_join.h"
-#include "index/shard_index.h"
+#include "index/tombstone_set.h"
 #include "perf_util.h"
 
 namespace uhscm::bench {

@@ -66,9 +66,17 @@ bool LinearScanIndex::Remove(int id) {
   return tombstones_.Set(id);
 }
 
-std::unique_ptr<ShardIndex> LinearScanIndex::Compact() const {
-  return std::make_unique<LinearScanIndex>(
-      CompactLiveRows(database_, tombstones_));
+LinearScanIndex LinearScanIndex::Compact() const {
+  const int words_per_code = database_.words_per_code();
+  std::vector<uint64_t> words;
+  words.reserve(static_cast<size_t>(size()) * words_per_code);
+  for (int i = 0; i < database_.size(); ++i) {
+    if (tombstones_.Test(i)) continue;
+    const uint64_t* src = database_.code(i);
+    words.insert(words.end(), src, src + words_per_code);
+  }
+  return LinearScanIndex(
+      PackedCodes::FromRawWords(size(), bits(), std::move(words)));
 }
 
 std::vector<int> LinearScanIndex::AllDistances(const uint64_t* query) const {

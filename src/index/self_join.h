@@ -7,7 +7,7 @@
 #include "index/hamming_kernels.h"
 #include "index/neighbor.h"
 #include "index/packed_codes.h"
-#include "index/shard_index.h"
+#include "index/tombstone_set.h"
 
 namespace uhscm::index {
 

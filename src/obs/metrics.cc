@@ -85,17 +85,6 @@ void Histogram::Reset() {
   sum_.store(0, std::memory_order_relaxed);
 }
 
-void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
-  if (other.total == 0) return;
-  if (counts.empty()) {
-    *this = other;
-    return;
-  }
-  for (size_t b = 0; b < counts.size(); ++b) counts[b] += other.counts[b];
-  total += other.total;
-  sum += other.sum;
-}
-
 int64_t HistogramSnapshot::ValueAtPercentile(double p) const {
   if (total == 0 || counts.empty()) return 0;
   p = std::clamp(p, 0.0, 100.0);

@@ -57,11 +57,7 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// \brief Mergeable point-in-time copy of a histogram's buckets.
-///
-/// Bucket counts add element-wise, so percentiles of a merged snapshot
-/// are computed over the *pooled* distribution — not a max over the
-/// parts' percentiles.
+/// \brief Point-in-time copy of a histogram's buckets.
 struct HistogramSnapshot {
   std::vector<uint64_t> counts;  // empty (== all-zero) or kNumBuckets long
   uint64_t total = 0;
@@ -72,9 +68,6 @@ struct HistogramSnapshot {
     return total > 0 ? static_cast<double>(sum) / static_cast<double>(total)
                      : 0.0;
   }
-
-  /// Element-wise bucket add — an exact merge.
-  void Merge(const HistogramSnapshot& other);
 
   /// Nearest-rank percentile (p in [0, 100]) over the bucket counts: the
   /// representative value (bucket midpoint; exact below the linear/log
@@ -92,7 +85,7 @@ struct HistogramSnapshot {
 /// equal sub-buckets, so relative resolution is bounded by
 /// 2^-kSubBucketBits (~3.1%) everywhere. Record is O(1): a bit-scan to
 /// find the bucket and three relaxed atomic adds — no lock, no sort, no
-/// retained samples. Snapshots merge exactly (bucket-wise).
+/// retained samples.
 ///
 /// Values are unit-agnostic int64s; the serving layer records latencies
 /// in nanoseconds (range 2^kMaxExponent ns ~= 9.7 hours; larger values

@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "common/status.h"
-#include "index/linear_scan.h"
-#include "index/multi_index_hash.h"
 
 namespace uhscm::serve {
 
@@ -14,11 +12,10 @@ using index::Neighbor;
 
 ShardedIndex::ShardedIndex(index::PackedCodes corpus,
                            const ShardedIndexOptions& options)
-    : options_(options), bits_(corpus.bits()) {
+    : bits_(corpus.bits()) {
   UHSCM_CHECK(bits_ > 0, "ShardedIndex: corpus has zero code width");
   const int size = corpus.size();
   const int num_shards = std::clamp(options.num_shards, 1, std::max(1, size));
-  options_.num_shards = num_shards;
   live_size_.store(size, std::memory_order_relaxed);
   total_size_.store(size, std::memory_order_relaxed);
 
@@ -41,13 +38,8 @@ ShardedIndex::ShardedIndex(index::PackedCodes corpus,
     auto shard = std::make_unique<Shard>();
     shard->offset = begin;
     shard->base_count = count;
-    if (options_.backend == ShardBackend::kMultiIndexHash) {
-      shard->impl = std::make_unique<index::MultiIndexHashTable>(
-          std::move(shard_codes), options_.mih_substrings);
-    } else {
-      shard->impl =
-          std::make_unique<index::LinearScanIndex>(std::move(shard_codes));
-    }
+    shard->impl =
+        std::make_unique<index::LinearScanIndex>(std::move(shard_codes));
     for (int local = 0; local < count; ++local) {
       locator_.push_back(Locator{s, local});
     }
@@ -203,7 +195,8 @@ int ShardedIndex::CompactShardLocked(int s) {
   // shard write-quiescent — every mutator takes it first — while
   // in-flight queries keep reading the old impl under their shared
   // locks. Compact() only does const reads, so it races with nothing.
-  std::unique_ptr<index::ShardIndex> compacted = shard.impl->Compact();
+  auto compacted =
+      std::make_unique<index::LinearScanIndex>(shard.impl->Compact());
   const index::TombstoneSet& dead = shard.impl->tombstones();
   const int old_total = shard.impl->total_size();
 
@@ -274,7 +267,7 @@ CorpusExport ShardedIndex::ExportLocked() const {
       continue;
     }
     const Shard& shard = *shards_[static_cast<size_t>(loc.shard)];
-    const uint64_t* src = shard.impl->codes().code(loc.local);
+    const uint64_t* src = shard.impl->database().code(loc.local);
     std::copy(src, src + words_per_code,
               words.begin() + static_cast<size_t>(gid) * words_per_code);
     if (shard.impl->tombstones().Test(loc.local)) {

@@ -7,29 +7,16 @@
 
 #include "common/annotated_sync.h"
 #include "common/thread_pool.h"
+#include "index/linear_scan.h"
 #include "index/neighbor.h"
 #include "index/packed_codes.h"
-#include "index/shard_index.h"
 
 namespace uhscm::serve {
-
-/// Which retrieval structure backs each shard.
-enum class ShardBackend {
-  /// Brute-force popcount scan (bounded-heap top-k). Exact, predictable,
-  /// best for small shards or high-entropy codes.
-  kLinearScan,
-  /// Multi-index hashing with progressive radius growth until k verified
-  /// hits are found. Exact, sub-linear when codes cluster.
-  kMultiIndexHash,
-};
 
 struct ShardedIndexOptions {
   /// Number of partitions; clamped to [1, corpus size]. Each shard is an
   /// independent index searched in parallel.
   int num_shards = 1;
-  ShardBackend backend = ShardBackend::kLinearScan;
-  /// Substring count per MIH shard; 0 = auto (bits / log2(shard size)).
-  int mih_substrings = 0;
 };
 
 /// Point-in-time copy of the whole corpus in global-id order, the unit a
@@ -63,10 +50,9 @@ struct CompactionStats {
 /// searchable, independently *mutable* shards.
 ///
 /// The initial corpus is split into contiguous row ranges; each shard is
-/// backed by an index::ShardIndex implementation (linear scan or MIH).
-/// Append routes each incoming batch to the shard with the fewest live
-/// rows and assigns fresh global ids from a monotonic counter; Remove
-/// tombstones a global id in place. Shard-local ids map to global ids
+/// an index::LinearScanIndex. Append routes each incoming batch to the
+/// shard with the fewest live rows and assigns fresh global ids from a
+/// monotonic counter; Remove tombstones a global id in place. Shard-local ids map to global ids
 /// through a strictly increasing per-shard map (base offset + appended-id
 /// list), so per-shard sorted result lists stay sorted after remapping
 /// and the (distance, global id) ordering of merged results is
@@ -97,7 +83,6 @@ class ShardedIndex {
   }
   int bits() const { return bits_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  ShardBackend backend() const { return options_.backend; }
 
   /// Exact top-k over the live corpus (ascending distance, then ascending
   /// global id). Shard searches run on `pool`, or on the process-wide
@@ -110,10 +95,9 @@ class ShardedIndex {
                                          int k) const;
 
   /// Batched form of ShardTopK: one result list per query, each
-  /// byte-identical to the per-query call. Linear-scan shards route
-  /// through the cache-blocked SIMD batch scan, amortizing the shard's
-  /// memory traffic across the whole query block; MIH shards fall back
-  /// to the per-query radius search.
+  /// byte-identical to the per-query call. Routes through the
+  /// cache-blocked SIMD batch scan, amortizing the shard's memory
+  /// traffic across the whole query block.
   std::vector<std::vector<index::Neighbor>> ShardTopKBatch(
       int s, const uint64_t* const* queries, int num_queries, int k) const;
 
@@ -134,11 +118,10 @@ class ShardedIndex {
 
   /// \name Tombstone compaction
   ///
-  /// Dead rows keep burning scan bandwidth (and MIH bucket entries)
-  /// until compacted away. Compaction rebuilds one shard over its
-  /// survivors and swaps the rebuild in, remapping the global-id
-  /// locator so every surviving global id resolves to its new local
-  /// slot. Global ids never change, and results over the survivors are
+  /// Dead rows keep burning scan bandwidth until compacted away.
+  /// Compaction rebuilds one shard over its survivors and swaps the
+  /// rebuild in, remapping the global-id locator so every surviving
+  /// global id resolves to its new local slot. Global ids never change, and results over the survivors are
   /// byte-identical to the uncompacted index.
   ///
   /// Protocol: the whole pass runs under the corpus meta mutex (which
@@ -156,8 +139,7 @@ class ShardedIndex {
 
   /// Compacts every shard whose dead fraction (dead rows / total rows)
   /// is >= `dead_fraction` (clamped to > 0 — a clean shard never
-  /// qualifies). The decision depends only on deterministic per-shard
-  /// counters, so identically-hydrated replicas compact identically.
+  /// qualifies).
   CompactionStats MaybeCompact(double dead_fraction);
 
   /// Compacts every shard holding any dead row.
@@ -187,7 +169,9 @@ class ShardedIndex {
     /// one. TSA cannot express an either-of guard, so they carry no
     /// GUARDED_BY; the lock-order checker still covers both locks.
     std::vector<int> appended_ids;
-    std::unique_ptr<index::ShardIndex> impl UHSCM_GUARDED_BY(mu);
+    /// Behind a pointer so the compaction swap under the writer lock is
+    /// a pointer exchange.
+    std::unique_ptr<index::LinearScanIndex> impl UHSCM_GUARDED_BY(mu);
     /// Queries hold this shared; Append/Remove hold it exclusive. All
     /// instances share one lock class and may nest (kOrderedInstances)
     /// because Export() takes every shard lock in shard-index order.
@@ -223,7 +207,6 @@ class ShardedIndex {
   CorpusExport ExportLocked() const
       UHSCM_REQUIRES_SHARED(meta_mu_) UHSCM_NO_THREAD_SAFETY_ANALYSIS;
 
-  ShardedIndexOptions options_;
   int bits_ = 0;
   /// Relaxed: advisory live-row count (k clamping, size accessors, stats).
   /// No data is published through it — rows are protected by the shard

@@ -2,9 +2,13 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -13,6 +17,29 @@
 #include "linalg/ops.h"
 #include "nn/activations.h"
 #include "nn/linear.h"
+
+// The largest single operator-new request so far. The corruption sweep
+// resets and reads it to catch an allocation sized from a damaged header
+// (replacing the global operator works the same under ASan, which tracks
+// the malloc underneath).
+static std::atomic<size_t> g_largest_new{0};
+
+void* operator new(size_t bytes) {
+  size_t largest = g_largest_new.load(std::memory_order_relaxed);
+  while (bytes > largest &&
+         !g_largest_new.compare_exchange_weak(largest, bytes,
+                                              std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never sees free() paired with a new.
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace uhscm::io {
 namespace {
@@ -380,6 +407,148 @@ TEST_F(IoTest, SnapshotRejectsWrongSizeTombstoneBitmap) {
   Status st = SaveCodesSnapshot(snapshot, path);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------
+// Corruption sweep: every loader, every byte offset. A damaged artifact
+// must fail with a Status — never crash, read out of bounds, or allocate
+// from a garbage size field (the ASan job runs this sweep too).
+
+std::vector<char> ReadFileBytes(const std::string& path) {
+  std::vector<char> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + got);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteFileBytes(const std::string& path, const std::vector<char>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  if (!bytes.empty()) {
+    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
+  std::fclose(f);
+}
+
+/// Loads `in` and, when the load succeeds, saves what it loaded to `out`.
+using LoadAndResave =
+    std::function<Status(const std::string& in, const std::string& out)>;
+
+class CorruptionSweepTest : public IoTest {
+ protected:
+  /// Truncates the artifact at `path` at every byte offset and,
+  /// separately, XORs every byte with 0xFF. Every truncation must fail.
+  /// A flip the checksums accept must round-trip: saving what was loaded
+  /// reproduces the flipped file byte for byte. The artifacts are a few
+  /// KiB, so any single allocation of 1 MiB or more means some loader
+  /// sized it from a damaged header. Returns the offsets of the accepted
+  /// flips.
+  std::vector<size_t> Sweep(const std::string& path,
+                            const LoadAndResave& load_and_resave) {
+    g_largest_new.store(0, std::memory_order_relaxed);
+    const std::vector<char> original = ReadFileBytes(path);
+    EXPECT_FALSE(original.empty());
+    const std::string damaged = Path("sweep_damaged.bin");
+    const std::string resaved = Path("sweep_resaved.bin");
+    EXPECT_TRUE(load_and_resave(path, resaved).ok()) << "pristine artifact";
+    std::vector<size_t> accepted;
+    for (size_t offset = 0; offset < original.size(); ++offset) {
+      WriteFileBytes(damaged, std::vector<char>(original.begin(),
+                                                original.begin() + offset));
+      EXPECT_FALSE(load_and_resave(damaged, resaved).ok())
+          << "truncated at byte " << offset;
+
+      std::vector<char> flipped = original;
+      flipped[offset] ^= static_cast<char>(0xFF);
+      WriteFileBytes(damaged, flipped);
+      if (load_and_resave(damaged, resaved).ok()) {
+        accepted.push_back(offset);
+        EXPECT_EQ(ReadFileBytes(resaved), flipped)
+            << "flip at byte " << offset << " loaded but does not round-trip";
+      }
+    }
+    EXPECT_LT(g_largest_new.load(std::memory_order_relaxed), size_t{1} << 20)
+        << "a damaged header drove a large allocation";
+    return accepted;
+  }
+};
+
+TEST_F(CorruptionSweepTest, ModelParameters) {
+  Rng rng(14);
+  auto make_model = [&rng] {
+    auto model = std::make_unique<nn::Sequential>();
+    model->Append(std::make_unique<nn::Linear>(6, 10, &rng));
+    model->Append(std::make_unique<nn::Relu>());
+    model->Append(std::make_unique<nn::Linear>(10, 4, &rng));
+    return model;
+  };
+  const std::string path = Path("sweep_model.bin");
+  ASSERT_TRUE(SaveModelParameters(make_model().get(), path).ok());
+  std::unique_ptr<nn::Sequential> target = make_model();
+  const std::vector<size_t> accepted =
+      Sweep(path, [&](const std::string& in, const std::string& out) {
+        UHSCM_RETURN_NOT_OK(LoadModelParameters(target.get(), in));
+        return SaveModelParameters(target.get(), out);
+      });
+  EXPECT_TRUE(accepted.empty()) << "every byte is checksummed or checked";
+}
+
+TEST_F(CorruptionSweepTest, HashingNetwork) {
+  Rng rng(15);
+  core::HashingNetworkOptions options;
+  options.hidden1 = 8;
+  options.hidden2 = 6;
+  options.bits = 16;
+  const core::HashingNetwork network(5, options, &rng);
+  const std::string path = Path("sweep_hashnet.bin");
+  ASSERT_TRUE(SaveHashingNetwork(network, path).ok());
+  const std::vector<size_t> accepted =
+      Sweep(path, [](const std::string& in, const std::string& out) {
+        Result<std::unique_ptr<core::HashingNetwork>> loaded =
+            LoadHashingNetwork(in);
+        if (!loaded.ok()) return loaded.status();
+        return SaveHashingNetwork(**loaded, out);
+      });
+  EXPECT_TRUE(accepted.empty()) << "every byte is checksummed or checked";
+}
+
+TEST_F(CorruptionSweepTest, CodesV1) {
+  Rng rng(16);
+  const std::string path = Path("sweep_codes_v1.bin");
+  ASSERT_TRUE(SavePackedCodes(RandomPacked(20, 64, &rng), path).ok());
+  const std::vector<size_t> accepted =
+      Sweep(path, [](const std::string& in, const std::string& out) {
+        Result<index::PackedCodes> loaded = LoadPackedCodes(in);
+        if (!loaded.ok()) return loaded.status();
+        return SavePackedCodes(*loaded, out);
+      });
+  EXPECT_TRUE(accepted.empty()) << "every byte is checksummed or checked";
+}
+
+TEST_F(CorruptionSweepTest, ServingSnapshotV2WithTombstones) {
+  Rng rng(17);
+  CodesSnapshot snapshot;
+  snapshot.codes = RandomPacked(70, 96, &rng);
+  snapshot.epoch = 42;
+  snapshot.tombstone_words = {(1ULL << 3) | (1ULL << 40), 1ULL << 5};
+  const std::string path = Path("sweep_snapshot_v2.bin");
+  ASSERT_TRUE(SaveCodesSnapshot(snapshot, path).ok());
+  const std::vector<size_t> accepted =
+      Sweep(path, [](const std::string& in, const std::string& out) {
+        Result<CodesSnapshot> loaded = LoadCodesSnapshot(in);
+        if (!loaded.ok()) return loaded.status();
+        return SaveCodesSnapshot(*loaded, out);
+      });
+  // Only the epoch (bytes 8..15, after magic and version) carries no
+  // checksum; any value there is a valid snapshot.
+  const std::vector<size_t> epoch_bytes = {8, 9, 10, 11, 12, 13, 14, 15};
+  EXPECT_EQ(accepted, epoch_bytes);
 }
 
 }  // namespace

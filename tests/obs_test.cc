@@ -1,5 +1,5 @@
 // Tests for the observability layer: log-linear histogram exactness
-// (bucket math, record/merge vs sorted-sample ground truth, concurrent
+// (bucket math, percentiles vs sorted-sample ground truth, concurrent
 // records), the metrics registry, the trace recorder (sampling, ring
 // wraparound, Chrome export, slow-query log), and an end-to-end span
 // sweep through the serving pipeline.
@@ -108,34 +108,32 @@ TEST(HistogramTest, NegativesAndOverflowClamp) {
 }
 
 // ---------------------------------------------------------------------
-// Record / merge exactness against sorted-sample ground truth
+// Recorded percentiles against sorted-sample ground truth
 
 TEST(HistogramTest, PercentilesMatchSortedSamplesWithinResolution) {
   // The acceptance bound this whole design rests on: bucket percentiles
   // track pooled-sample percentiles within one bucket width (~3.1%
-  // relative), including after an exact bucket-wise merge of shards.
+  // relative).
   Rng rng(202);
-  constexpr int kShards = 3;
-  constexpr int kSamplesPerShard = 40000;
-  Histogram shards[kShards];
+  constexpr int kSampleSets = 3;
+  constexpr int kSamplesPerSet = 40000;
+  Histogram histogram;
   std::vector<int64_t> pooled;
-  pooled.reserve(kShards * kSamplesPerShard);
-  for (int s = 0; s < kShards; ++s) {
-    for (int i = 0; i < kSamplesPerShard; ++i) {
+  pooled.reserve(kSampleSets * kSamplesPerSet);
+  for (int s = 0; s < kSampleSets; ++s) {
+    for (int i = 0; i < kSamplesPerSet; ++i) {
       // Log-uniform latencies from ~1us to ~100ms (in ns) with a
-      // different scale per shard, so the merge genuinely reshuffles
-      // which buckets dominate each percentile.
+      // different scale per set, so no single set's buckets dominate
+      // every percentile.
       const double log_min = 3.0 + s, log_max = 8.0;
       const int64_t v = static_cast<int64_t>(
           std::pow(10.0, rng.Uniform(log_min, log_max)));
-      shards[s].Record(v);
+      histogram.Record(v);
       pooled.push_back(v);
     }
   }
-  HistogramSnapshot merged = shards[0].Snapshot();
-  merged.Merge(shards[1].Snapshot());
-  merged.Merge(shards[2].Snapshot());
-  ASSERT_EQ(merged.total, static_cast<uint64_t>(pooled.size()));
+  const HistogramSnapshot snap = histogram.Snapshot();
+  ASSERT_EQ(snap.total, static_cast<uint64_t>(pooled.size()));
 
   std::sort(pooled.begin(), pooled.end());
   for (const double p : {50.0, 90.0, 99.0, 99.9}) {
@@ -143,34 +141,14 @@ TEST(HistogramTest, PercentilesMatchSortedSamplesWithinResolution) {
         1, static_cast<size_t>(
                std::ceil(p / 100.0 * static_cast<double>(pooled.size()))));
     const double truth = static_cast<double>(pooled[rank - 1]);
-    const double got = static_cast<double>(merged.ValueAtPercentile(p));
+    const double got = static_cast<double>(snap.ValueAtPercentile(p));
     EXPECT_NEAR(got, truth, truth * kRelTolerance) << "p" << p;
   }
   // The mean is exact (sum and total both add exactly).
   double true_sum = 0.0;
   for (const int64_t v : pooled) true_sum += static_cast<double>(v);
-  EXPECT_NEAR(merged.mean(), true_sum / pooled.size(),
+  EXPECT_NEAR(snap.mean(), true_sum / pooled.size(),
               true_sum / pooled.size() * 1e-9);
-}
-
-TEST(HistogramTest, MergeIntoEmptyAndWithEmpty) {
-  Histogram h;
-  h.RecordN(100, 7);
-  HistogramSnapshot empty1, empty2;
-  empty1.Merge(empty2);
-  EXPECT_TRUE(empty1.empty());
-  // empty <- loaded adopts the loaded snapshot.
-  HistogramSnapshot a;
-  a.Merge(h.Snapshot());
-  EXPECT_EQ(a.total, 7u);
-  // loaded <- empty is a no-op; the percentile reports 100's bucket
-  // midpoint (100 is past the exact linear region).
-  a.Merge(empty2);
-  EXPECT_EQ(a.total, 7u);
-  EXPECT_EQ(a.ValueAtPercentile(50.0),
-            Histogram::BucketRepresentative(Histogram::BucketIndex(100)));
-  EXPECT_NEAR(static_cast<double>(a.ValueAtPercentile(50.0)), 100.0,
-              100.0 * kRelTolerance);
 }
 
 TEST(HistogramTest, RecordNMatchesRepeatedRecord) {

@@ -8,7 +8,7 @@
 
 #include "common/rng.h"
 #include "index/packed_codes.h"
-#include "index/shard_index.h"
+#include "index/tombstone_set.h"
 #include "linalg/matrix.h"
 #include "test_util.h"
 

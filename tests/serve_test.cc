@@ -35,13 +35,12 @@ void ExpectSameNeighbors(const std::vector<Neighbor>& expect,
   }
 }
 
-/// Shard/backend sweep: sharded top-k must be byte-identical to a
-/// single LinearScan over the unsharded corpus.
-class ShardedIndexSweep
-    : public ::testing::TestWithParam<std::tuple<int, ShardBackend>> {};
+/// Shard-count sweep: sharded top-k must be byte-identical to a single
+/// LinearScan over the unsharded corpus.
+class ShardedIndexSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardedIndexSweep, MatchesLinearScanGroundTruth) {
-  const auto [num_shards, backend] = GetParam();
+  const int num_shards = GetParam();
   Rng rng(100 + num_shards);
   const int n = 300, bits = 64, k = 10;
   Matrix db = RandomSignCodes(n, bits, &rng);
@@ -49,7 +48,6 @@ TEST_P(ShardedIndexSweep, MatchesLinearScanGroundTruth) {
 
   ShardedIndexOptions options;
   options.num_shards = num_shards;
-  options.backend = backend;
   ShardedIndex sharded(PackedCodes::FromSignMatrix(db), options);
   EXPECT_EQ(sharded.size(), n);
   EXPECT_LE(sharded.num_shards(), num_shards);
@@ -62,11 +60,8 @@ TEST_P(ShardedIndexSweep, MatchesLinearScanGroundTruth) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Configs, ShardedIndexSweep,
-    ::testing::Combine(::testing::Values(1, 2, 3, 7, 16),
-                       ::testing::Values(ShardBackend::kLinearScan,
-                                         ShardBackend::kMultiIndexHash)));
+INSTANTIATE_TEST_SUITE_P(Configs, ShardedIndexSweep,
+                         ::testing::Values(1, 2, 3, 7, 16));
 
 TEST(ShardedIndexTest, ShardCountClampedToCorpusSize) {
   Rng rng(7);
@@ -85,46 +80,37 @@ TEST(ShardedIndexTest, KLargerThanCorpusReturnsWholeCorpus) {
   Rng rng(8);
   Matrix db = RandomSignCodes(50, 64, &rng);
   LinearScanIndex truth(PackedCodes::FromSignMatrix(db));
-  for (ShardBackend backend :
-       {ShardBackend::kLinearScan, ShardBackend::kMultiIndexHash}) {
-    ShardedIndexOptions options;
-    options.num_shards = 4;
-    options.backend = backend;
-    ShardedIndex sharded(PackedCodes::FromSignMatrix(db), options);
-    Matrix query = RandomSignCodes(1, 64, &rng);
-    PackedCodes pq = PackedCodes::FromSignMatrix(query);
-    const auto got = sharded.TopK(pq.code(0), 1000);
-    ASSERT_EQ(got.size(), 50u);
-    ExpectSameNeighbors(truth.TopK(pq.code(0), 1000), got);
-  }
+  ShardedIndexOptions options;
+  options.num_shards = 4;
+  ShardedIndex sharded(PackedCodes::FromSignMatrix(db), options);
+  Matrix query = RandomSignCodes(1, 64, &rng);
+  PackedCodes pq = PackedCodes::FromSignMatrix(query);
+  const auto got = sharded.TopK(pq.code(0), 1000);
+  ASSERT_EQ(got.size(), 50u);
+  ExpectSameNeighbors(truth.TopK(pq.code(0), 1000), got);
 }
 
 TEST(ShardedIndexTest, ShardTopKBatchMatchesPerQueryShardTopK) {
-  // The batched per-shard entry point (SIMD cache-blocked scan for
-  // linear shards, per-query fallback for MIH shards) must be
+  // The batched per-shard entry point (SIMD cache-blocked scan) must be
   // byte-identical to the per-query path, global ids included.
   Rng rng(456);
   const int n = 350, bits = 128, k = 12;
   Matrix db = RandomSignCodes(n, bits, &rng);
   PackedCodes queries = PackedCodes::FromSignMatrix(RandomSignCodes(7, bits, &rng));
 
-  for (ShardBackend backend :
-       {ShardBackend::kLinearScan, ShardBackend::kMultiIndexHash}) {
-    ShardedIndexOptions options;
-    options.num_shards = 3;
-    options.backend = backend;
-    ShardedIndex sharded(PackedCodes::FromSignMatrix(db), options);
+  ShardedIndexOptions options;
+  options.num_shards = 3;
+  ShardedIndex sharded(PackedCodes::FromSignMatrix(db), options);
 
-    std::vector<const uint64_t*> qptrs;
-    for (int q = 0; q < queries.size(); ++q) qptrs.push_back(queries.code(q));
-    for (int s = 0; s < sharded.num_shards(); ++s) {
-      const auto batched = sharded.ShardTopKBatch(
-          s, qptrs.data(), static_cast<int>(qptrs.size()), k);
-      ASSERT_EQ(batched.size(), qptrs.size());
-      for (int q = 0; q < queries.size(); ++q) {
-        ExpectSameNeighbors(sharded.ShardTopK(s, queries.code(q), k),
-                            batched[static_cast<size_t>(q)]);
-      }
+  std::vector<const uint64_t*> qptrs;
+  for (int q = 0; q < queries.size(); ++q) qptrs.push_back(queries.code(q));
+  for (int s = 0; s < sharded.num_shards(); ++s) {
+    const auto batched = sharded.ShardTopKBatch(
+        s, qptrs.data(), static_cast<int>(qptrs.size()), k);
+    ASSERT_EQ(batched.size(), qptrs.size());
+    for (int q = 0; q < queries.size(); ++q) {
+      ExpectSameNeighbors(sharded.ShardTopK(s, queries.code(q), k),
+                          batched[static_cast<size_t>(q)]);
     }
   }
 }
@@ -399,10 +385,7 @@ struct RefCorpus {
 /// The acceptance invariant: after any interleaving of Append/Remove,
 /// engine results are byte-identical — after compacting stable ids by
 /// survivor rank — to a freshly built engine over the surviving rows.
-class RandomInterleavingSweep
-    : public ::testing::TestWithParam<ShardBackend> {};
-
-TEST_P(RandomInterleavingSweep, MatchesFreshRebuildAtEveryCheckpoint) {
+TEST(RandomInterleavingSweep, MatchesFreshRebuildAtEveryCheckpoint) {
   Rng rng(777);
   const int bits = 64, k = 10;
   Matrix base = RandomSignCodes(120, bits, &rng);
@@ -419,7 +402,6 @@ TEST_P(RandomInterleavingSweep, MatchesFreshRebuildAtEveryCheckpoint) {
 
   ServingSnapshotOptions options;
   options.index.num_shards = 3;
-  options.index.backend = GetParam();
   options.engine.num_threads = 2;
   auto engine = MakeQueryEngine(PackedCodes::FromSignMatrix(base), options);
 
@@ -476,10 +458,6 @@ TEST_P(RandomInterleavingSweep, MatchesFreshRebuildAtEveryCheckpoint) {
   EXPECT_EQ(engine->stats().epoch, engine->epoch());
   EXPECT_GT(engine->epoch(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, RandomInterleavingSweep,
-                         ::testing::Values(ShardBackend::kLinearScan,
-                                           ShardBackend::kMultiIndexHash));
 
 TEST(MutableEngineTest, PreUpdateCacheEntryNeverServedPostUpdate) {
   Rng rng(801);
@@ -633,14 +611,11 @@ TEST(SnapshotTest, V2RoundTripPreservesIdsEpochAndResults) {
 // Tombstone compaction: dead rows leave the shards, global ids and
 // results stay byte-identical, and the locator keeps resolving.
 
-class CompactionSweep : public ::testing::TestWithParam<ShardBackend> {};
-
-TEST_P(CompactionSweep, CompactionIsInvisibleToQueries) {
+TEST(CompactionSweep, CompactionIsInvisibleToQueries) {
   Rng rng(900);
   const int bits = 64, k = 10;
   ShardedIndexOptions options;
   options.num_shards = 3;
-  options.backend = GetParam();
   ShardedIndex index(PackedCodes::FromSignMatrix(RandomSignCodes(150, bits, &rng)),
                      options);
   index.Append(PackedCodes::FromSignMatrix(RandomSignCodes(30, bits, &rng)));
@@ -674,12 +649,11 @@ TEST_P(CompactionSweep, CompactionIsInvisibleToQueries) {
   EXPECT_EQ(again.shards_compacted, 0);
 }
 
-TEST_P(CompactionSweep, LocatorStaysCorrectAcrossCompactions) {
+TEST(CompactionSweep, LocatorStaysCorrectAcrossCompactions) {
   Rng rng(901);
   const int bits = 64;
   ShardedIndexOptions options;
   options.num_shards = 2;
-  options.backend = GetParam();
   ShardedIndex index(PackedCodes::FromSignMatrix(RandomSignCodes(40, bits, &rng)),
                      options);
   // Shard 0 holds gids 0..19, shard 1 holds 20..39. Compact one shard
@@ -718,12 +692,11 @@ TEST_P(CompactionSweep, LocatorStaysCorrectAcrossCompactions) {
   EXPECT_FALSE(index.Remove(ids[1]));
 }
 
-TEST_P(CompactionSweep, MaybeCompactHonorsDeadFractionThreshold) {
+TEST(CompactionSweep, MaybeCompactHonorsDeadFractionThreshold) {
   Rng rng(902);
   const int bits = 64;
   ShardedIndexOptions options;
   options.num_shards = 2;
-  options.backend = GetParam();
   // Shard 0 holds gids 0..19, shard 1 holds 20..39.
   ShardedIndex index(PackedCodes::FromSignMatrix(RandomSignCodes(40, bits, &rng)),
                      options);
@@ -744,10 +717,6 @@ TEST_P(CompactionSweep, MaybeCompactHonorsDeadFractionThreshold) {
   EXPECT_EQ(rest.shards_compacted, 1);
   EXPECT_EQ(rest.rows_reclaimed, 2);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, CompactionSweep,
-                         ::testing::Values(ShardBackend::kLinearScan,
-                                           ShardBackend::kMultiIndexHash));
 
 TEST(MutableEngineTest, RemoveIdsCountsEachDeadRowOnce) {
   // Pins the RemoveIds accounting contract: duplicates in one call,

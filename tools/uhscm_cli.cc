@@ -28,7 +28,7 @@
 //       cache-sized scan block (0 = auto); --json-out writes the full
 //       report (stats + group membership) as JSON.
 //   serve  --codes=PATH [--model=PATH --dataset=... --seed=N --scale=F]
-//          [--shards=N] [--threads=N] [--backend=scan|mih]
+//          [--shards=N] [--threads=N]
 //          [--batch-max=B] [--batch-timeout-us=T] [--topk=K] [--queries=N]
 //          [--append=PATH] [--delete-ids=1,5,10-20] [--compact]
 //          [--compact-threshold=F] [--save-snapshot=PATH]
@@ -127,7 +127,6 @@ struct Flags {
   int threads = 0;  // 0 = hardware concurrency
   int batch_max = 32;
   int64_t batch_timeout_us = 200;
-  std::string backend = "scan";
   std::string append_file;
   std::string delete_ids;
   std::string save_snapshot;
@@ -154,7 +153,7 @@ int Usage() {
                "[--json-out=PATH] "
                "[--queries=N] [--shards=N] [--threads=N] "
                "[--batch-max=B] [--batch-timeout-us=T] "
-               "[--backend=scan|mih] [--append=PATH] "
+               "[--append=PATH] "
                "[--delete-ids=1,5,10-20] [--compact] "
                "[--compact-threshold=F] [--save-snapshot=PATH] "
                "[--metrics-json=PATH] [--trace-out=PATH] "
@@ -256,8 +255,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->batch_max = std::atoi(arg.c_str() + 12);
     } else if (StartsWith(arg, "--batch-timeout-us=")) {
       flags->batch_timeout_us = std::atoll(arg.c_str() + 19);
-    } else if (StartsWith(arg, "--backend=")) {
-      flags->backend = arg.substr(10);
     } else if (StartsWith(arg, "--append=")) {
       flags->append_file = arg.substr(9);
     } else if (StartsWith(arg, "--delete-ids=")) {
@@ -644,15 +641,8 @@ int CmdServe(const Flags& flags) {
     std::fprintf(stderr, "serve: --codes=PATH is required\n");
     return 2;
   }
-  if (flags.backend != "scan" && flags.backend != "mih") {
-    std::fprintf(stderr, "serve: --backend must be scan or mih\n");
-    return 2;
-  }
   serve::ReplicaSetOptions options;
   options.serving.index.num_shards = flags.shards;
-  options.serving.index.backend =
-      flags.backend == "mih" ? serve::ShardBackend::kMultiIndexHash
-                             : serve::ShardBackend::kLinearScan;
   options.serving.engine.num_threads = flags.threads;
   options.serving.engine.compact_dead_fraction = flags.compact_threshold;
   // One disk read handles both the legacy v1 codes artifact and the v2
@@ -786,11 +776,11 @@ int CmdServe(const Flags& flags) {
           ? (index::Avx512VpopcntAvailable() ? "+vpopcntdq" : "+harley-seal")
           : "";
   std::printf(
-      "serving %d live / %d total codes @ %d bits: %d shards (%s), "
+      "serving %d live / %d total codes @ %d bits: %d shards, "
       "%d threads, batch B=%d T=%lldus, %s%s kernel, epoch %llu\n",
       engine.index().size(), engine.index().total_size(),
       engine.index().bits(), engine.index().num_shards(),
-      flags.backend.c_str(), engine.num_threads(),
+      engine.num_threads(),
       batcher.options().max_batch,
       static_cast<long long>(batcher.options().timeout_us),
       index::KernelTierName(active_tier), tier_detail,

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/hashing_network.h"
 #include "core/losses.h"
 #include "data/concept_vocab.h"
 #include "data/synthetic.h"
@@ -208,9 +209,9 @@ void BM_PackedGemm(benchmark::State& state) {
                                     : linalg::MatMulBlocked(a, b));
   }
   state.SetItemsProcessed(state.iterations() * int64_t{m} * k * n);
-  state.SetLabel(packed ? (linalg::PackedGemmAvailable() ? "packed/avx2"
-                                                         : "packed/portable")
-                        : "blocked");
+  state.SetLabel(packed ? std::string("packed/") +
+                              index::KernelTierName(linalg::PackedGemmTier())
+                        : std::string("blocked"));
 }
 BENCHMARK(BM_PackedGemm)
     ->Args({128, 3072, 512, 0})
@@ -218,7 +219,29 @@ BENCHMARK(BM_PackedGemm)
     ->Args({256, 256, 256, 0})
     ->Args({256, 256, 256, 1})
     ->Args({512, 512, 512, 0})
-    ->Args({512, 512, 512, 1});
+    ->Args({512, 512, 512, 1})
+    ->UseRealTime();
+
+void BM_EncodeBinary(benchmark::State& state) {
+  // The hashing network's inference pass at the repo benchmark's encoder
+  // shape (256 inputs, 512/256 hidden, 64 bits) on one 8192-row chunk:
+  // the fused EncodeBinary vs Sign(Forward()), the training path it
+  // replaced. Both give the same bytes.
+  const bool fused = state.range(0) != 0;
+  constexpr int kRows = 8192;
+  Rng rng(11);
+  core::HashingNetwork network(256, core::HashingNetworkOptions{}, &rng);
+  const linalg::Matrix x = linalg::Matrix::RandomNormal(kRows, 256, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fused ? network.EncodeBinary(x)
+                                   : linalg::Sign(network.Forward(x)));
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+  state.SetLabel(fused ? std::string("fused/") +
+                             index::KernelTierName(linalg::PackedGemmTier())
+                       : std::string("forward+sign"));
+}
+BENCHMARK(BM_EncodeBinary)->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_VlpScoring(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,10 +1,12 @@
 #ifndef UHSCM_CORE_HASHING_NETWORK_H_
 #define UHSCM_CORE_HASHING_NETWORK_H_
 
+#include <array>
 #include <memory>
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
+#include "nn/linear.h"
 #include "nn/sequential.h"
 
 namespace uhscm::core {
@@ -31,8 +33,17 @@ class HashingNetwork {
   /// Backpropagates dL/dZ, accumulating parameter gradients.
   void Backward(const linalg::Matrix& grad_codes);
 
-  /// Binary codes B = sgn(Z) in {-1, +1}^{n x k}.
-  linalg::Matrix EncodeBinary(const linalg::Matrix& pixels);
+  /// Binary codes B = sgn(H(x)) in {-1, +1}^{n x k}: the inference path.
+  ///
+  /// One fused pass per kGemmMC-row block (linalg/ops.h) — layer 1 GEMM,
+  /// bias+ReLU, layer 2 GEMM, bias+ReLU, layer 3 GEMM, bias, sign — in
+  /// per-thread buffers, with each weight matrix packed once per call.
+  /// It keeps no activation caches, so it is const and safe to call from
+  /// several threads at once; a following Backward() still pairs with the
+  /// last Forward(). The output tanh is skipped: sgn(tanh z) = sgn z for
+  /// every float z, ±0 included, so the codes are byte-identical to
+  /// linalg::Sign(Forward(pixels)).
+  linalg::Matrix EncodeBinary(const linalg::Matrix& pixels) const;
 
   nn::Sequential* model() { return &model_; }
   int bits() const { return options_.bits; }
@@ -43,6 +54,9 @@ class HashingNetwork {
   int input_dim_;
   HashingNetworkOptions options_;
   nn::Sequential model_;
+  /// The three Linear layers inside model_, which owns them; EncodeBinary
+  /// reads their weights directly.
+  std::array<const nn::Linear*, 3> linear_{};
 };
 
 }  // namespace uhscm::core

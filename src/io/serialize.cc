@@ -14,14 +14,19 @@ namespace {
 
 constexpr uint32_t kVersion = 1;
 /// "UHSC" version 2: packed codes + corpus epoch + tombstone bitmap (the
-/// mutable-index serving snapshot). Version 1 stays the plain
-/// codes-only artifact and remains readable.
+/// mutable-index serving snapshot; the tombstone checksum also covers the
+/// epoch). Version 1 stays the plain codes-only artifact and remains
+/// readable.
 constexpr uint32_t kCodesSnapshotVersion = 2;
 
-/// FNV-1a over a byte range.
-uint64_t Checksum(const void* data, size_t bytes) {
+/// FNV-1a offset basis: the state of an empty hash.
+constexpr uint64_t kChecksumBasis = 1469598103934665603ULL;
+
+/// FNV-1a over a byte range, continuing from state `h` (so a checksum can
+/// cover non-adjacent fields).
+uint64_t Checksum(const void* data, size_t bytes,
+                  uint64_t h = kChecksumBasis) {
   const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 1469598103934665603ULL;
   for (size_t i = 0; i < bytes; ++i) {
     h ^= p[i];
     h *= 1099511628211ULL;
@@ -371,14 +376,17 @@ Status SaveCodesSnapshot(const CodesSnapshot& snapshot,
   UHSCM_RETURN_NOT_OK(WriteCodesBody(file.fp, snapshot.codes));
   // Tombstone section: word count, bitmap, checksum. An empty bitmap is
   // persisted as the full-width all-live bitmap so the loader never has
-  // to special-case it.
+  // to special-case it. The checksum covers the epoch's bytes first, so
+  // a damaged epoch cannot load as a different one.
   const int32_t tomb_words = static_cast<int32_t>(expected_words);
   UHSCM_RETURN_NOT_OK(WritePod(file.fp, tomb_words));
   std::vector<uint64_t> bitmap = snapshot.tombstone_words;
   bitmap.resize(expected_words, 0);
   const size_t bytes = bitmap.size() * sizeof(uint64_t);
   UHSCM_RETURN_NOT_OK(WriteBytes(file.fp, bitmap.data(), bytes));
-  return WritePod(file.fp, Checksum(bitmap.data(), bytes));
+  return WritePod(file.fp, Checksum(bitmap.data(), bytes,
+                                     Checksum(&snapshot.epoch,
+                                              sizeof(snapshot.epoch))));
 }
 
 Result<CodesSnapshot> LoadCodesSnapshot(const std::string& path) {
@@ -414,7 +422,9 @@ Result<CodesSnapshot> LoadCodesSnapshot(const std::string& path) {
         ReadBytes(file.fp, snapshot.tombstone_words.data(), bytes));
     uint64_t checksum = 0;
     UHSCM_RETURN_NOT_OK(ReadPod(file.fp, &checksum));
-    if (checksum != Checksum(snapshot.tombstone_words.data(), bytes)) {
+    if (checksum != Checksum(snapshot.tombstone_words.data(), bytes,
+                             Checksum(&snapshot.epoch,
+                                      sizeof(snapshot.epoch)))) {
       return Status::InvalidArgument(
           path + ": tombstone checksum mismatch (corrupt)");
     }

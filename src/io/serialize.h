@@ -84,7 +84,9 @@ struct CodesSnapshot {
   }
 };
 
-/// Writes a v2 serving snapshot ("UHSC" version 2 block).
+/// Writes a v2 serving snapshot ("UHSC" version 2 block). Every byte is
+/// checked on load: the codes section has its own checksum, and the
+/// tombstone section's checksum covers the epoch and the bitmap.
 Status SaveCodesSnapshot(const CodesSnapshot& snapshot,
                          const std::string& path);
 

@@ -70,18 +70,21 @@ inline void Axpy1(float* crow, float av, const float* brow, int n) {
 // ------------------------------------------------ packed-panel GEMM
 //
 // GotoBLAS-style structure: the inner dimension is cut into kGemmKC-deep
-// slabs; per slab, B is packed once into contiguous kNR-wide j-panels
-// (so the micro-kernel streams it linearly), and each parallel unit
-// packs its kGemmMC x kGemmKC block of A into kMR-tall i-panels. The
-// micro-kernel then computes a kMR x kNR tile of C held entirely in
-// registers — 12 ymm accumulators on the AVX2+FMA path — with one
-// broadcast per A element and two loads per B step. Edge tiles route
-// through a zero-padded scratch tile so the hot kernel never branches.
+// slabs, and B is packed once, slab by slab, into contiguous kNR-wide
+// j-panels (so the micro-kernel streams it linearly). C is computed in
+// kGemmMC-row blocks by one serial routine (PackedGemmRows): per slab it
+// packs the block's rows of A into kMR-tall i-panels, then computes kMR x
+// kNR tiles of C held entirely in registers — 12 ymm accumulators on the
+// AVX2+FMA path, with one broadcast per A element and two loads per B
+// step. The AVX-512 tier takes two adjacent full j-panels at once in 12
+// zmm accumulators. Edge tiles route through a zero-padded scratch tile
+// so the hot kernels never branch. The parallel driver (PackedGemmInto)
+// and MatMulRhs both run that routine, so there is one loop nest.
 
 constexpr int kMR = 6;        // micro-tile rows (A panel height)
 constexpr int kNR = 16;       // micro-tile cols (B panel width, 2 x ymm)
 constexpr int kGemmKC = 256;  // inner-dimension slab depth
-constexpr int kGemmMC = 96;   // A block rows per parallel unit (kMR * 16)
+static_assert(kGemmMC % kMR == 0, "row blocks must hold whole i-panels");
 
 /// Below this many multiply-adds the packing overhead beats the
 /// micro-kernel win; such products stay on the cache-blocked loop.
@@ -92,6 +95,11 @@ constexpr int64_t kPackedMinFlops = int64_t{1} << 18;
 /// with leading dimension ldc. Full tiles only.
 using MicroKernelFn = void (*)(int kc, const float* ap, const float* bp,
                                float* c, int ldc);
+
+/// c[0..kMR) x [0..2*kNR) += A-panel * two adjacent B-panels: `bp0` feeds
+/// columns [0, kNR), `bp1` columns [kNR, 2*kNR). Full tiles only.
+using PairKernelFn = void (*)(int kc, const float* ap, const float* bp0,
+                              const float* bp1, float* c, int ldc);
 
 /// Portable micro-kernel: fixed-extent inner loops over a stack tile the
 /// compiler can keep vectorized with baseline SSE.
@@ -117,6 +125,7 @@ void Micro6x16Scalar(int kc, const float* ap, const float* bp, float* c,
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define UHSCM_HAVE_GEMM_AVX2 1
 #define UHSCM_GEMM_FN __attribute__((target("avx2,fma")))
+#define UHSCM_GEMM_AVX512_FN __attribute__((target("avx512f")))
 
 /// AVX2+FMA micro-kernel: 6 x 16 C tile in 12 ymm accumulators, two B
 /// vectors reused across six broadcast-FMA rows per inner step.
@@ -165,13 +174,76 @@ UHSCM_GEMM_FN void Micro6x16Avx2(int kc, const float* ap, const float* bp,
   _mm256_storeu_ps(c + 5 * ldc, c50);
   _mm256_storeu_ps(c + 5 * ldc + 8, c51);
 }
+
+/// AVX-512 micro-kernel: a 6 x 32 C tile over two adjacent j-panels in 12
+/// zmm accumulators. Each C element gets the FMA chain Micro6x16Avx2 gives
+/// it — same inner order, one rounding per step — so the result is
+/// byte-identical to running the AVX2 kernel on each panel.
+UHSCM_GEMM_AVX512_FN void Micro6x32Avx512(int kc, const float* ap,
+                                          const float* bp0, const float* bp1,
+                                          float* c, int ldc) {
+  __m512 c00 = _mm512_loadu_ps(c + 0 * ldc), c01 = _mm512_loadu_ps(c + 0 * ldc + 16);
+  __m512 c10 = _mm512_loadu_ps(c + 1 * ldc), c11 = _mm512_loadu_ps(c + 1 * ldc + 16);
+  __m512 c20 = _mm512_loadu_ps(c + 2 * ldc), c21 = _mm512_loadu_ps(c + 2 * ldc + 16);
+  __m512 c30 = _mm512_loadu_ps(c + 3 * ldc), c31 = _mm512_loadu_ps(c + 3 * ldc + 16);
+  __m512 c40 = _mm512_loadu_ps(c + 4 * ldc), c41 = _mm512_loadu_ps(c + 4 * ldc + 16);
+  __m512 c50 = _mm512_loadu_ps(c + 5 * ldc), c51 = _mm512_loadu_ps(c + 5 * ldc + 16);
+  for (int p = 0; p < kc; ++p) {
+    const __m512 b0 = _mm512_loadu_ps(bp0 + p * kNR);
+    const __m512 b1 = _mm512_loadu_ps(bp1 + p * kNR);
+    const float* a = ap + p * kMR;
+    __m512 av;
+    av = _mm512_set1_ps(a[0]);
+    c00 = _mm512_fmadd_ps(av, b0, c00);
+    c01 = _mm512_fmadd_ps(av, b1, c01);
+    av = _mm512_set1_ps(a[1]);
+    c10 = _mm512_fmadd_ps(av, b0, c10);
+    c11 = _mm512_fmadd_ps(av, b1, c11);
+    av = _mm512_set1_ps(a[2]);
+    c20 = _mm512_fmadd_ps(av, b0, c20);
+    c21 = _mm512_fmadd_ps(av, b1, c21);
+    av = _mm512_set1_ps(a[3]);
+    c30 = _mm512_fmadd_ps(av, b0, c30);
+    c31 = _mm512_fmadd_ps(av, b1, c31);
+    av = _mm512_set1_ps(a[4]);
+    c40 = _mm512_fmadd_ps(av, b0, c40);
+    c41 = _mm512_fmadd_ps(av, b1, c41);
+    av = _mm512_set1_ps(a[5]);
+    c50 = _mm512_fmadd_ps(av, b0, c50);
+    c51 = _mm512_fmadd_ps(av, b1, c51);
+  }
+  _mm512_storeu_ps(c + 0 * ldc, c00);
+  _mm512_storeu_ps(c + 0 * ldc + 16, c01);
+  _mm512_storeu_ps(c + 1 * ldc, c10);
+  _mm512_storeu_ps(c + 1 * ldc + 16, c11);
+  _mm512_storeu_ps(c + 2 * ldc, c20);
+  _mm512_storeu_ps(c + 2 * ldc + 16, c21);
+  _mm512_storeu_ps(c + 3 * ldc, c30);
+  _mm512_storeu_ps(c + 3 * ldc + 16, c31);
+  _mm512_storeu_ps(c + 4 * ldc, c40);
+  _mm512_storeu_ps(c + 4 * ldc + 16, c41);
+  _mm512_storeu_ps(c + 5 * ldc, c50);
+  _mm512_storeu_ps(c + 5 * ldc + 16, c51);
+}
 #endif  // x86_64
 
-MicroKernelFn PickMicroKernel() {
+/// The micro-kernels of one tier: `tile` computes single 6x16 tiles (and
+/// every edge tile), `pair` — where the tier has one — pairs of full
+/// j-panels.
+struct GemmKernels {
+  MicroKernelFn tile = &Micro6x16Scalar;
+  PairKernelFn pair = nullptr;
+};
+
+GemmKernels KernelsFor(index::KernelTier tier) {
+  GemmKernels kernels;
 #if defined(UHSCM_HAVE_GEMM_AVX2)
-  if (PackedGemmAvailable()) return &Micro6x16Avx2;
+  if (tier != index::KernelTier::kScalar) kernels.tile = &Micro6x16Avx2;
+  if (tier == index::KernelTier::kAvx512) kernels.pair = &Micro6x32Avx512;
+#else
+  (void)tier;
 #endif
-  return &Micro6x16Scalar;
+  return kernels;
 }
 
 /// Packs the kc-deep slice of logical A rows [i0, i0+mc) into kMR-tall
@@ -232,110 +304,220 @@ void PackBPanels(const float* b, int ldb, bool trans, int p0, int kc, int n,
   }
 }
 
-/// C(m x n, ldc) += A * B over the packed panels. The A/B transpose
-/// flags select the packing reads; the compute loop is identical for all
-/// three MatMul entry points.
-void PackedGemmInto(int m, int n, int k, const float* a, int lda, bool a_trans,
-                    const float* b, int ldb, bool b_trans, float* c, int ldc) {
-  static const MicroKernelFn micro = PickMicroKernel();
+/// Packs all of the k x n logical B, one kGemmKC slab after another: the
+/// slab at inner offset p0 starts at p0 * jpanels * kNR floats and holds
+/// PackBPanels's layout for that slab.
+std::vector<float> PackB(const float* b, int ldb, bool trans, int k, int n) {
   const int jpanels = (n + kNR - 1) / kNR;
-  std::vector<float> bpack(static_cast<size_t>(jpanels) * kGemmKC * kNR);
+  std::vector<float> packed(static_cast<size_t>(k) * jpanels * kNR);
   for (int p0 = 0; p0 < k; p0 += kGemmKC) {
-    const int kc = std::min(kGemmKC, k - p0);
-    PackBPanels(b, ldb, b_trans, p0, kc, n, bpack.data());
-    const int iblocks = (m + kGemmMC - 1) / kGemmMC;
-    ParallelFor(iblocks, [&](int ib) {
-      const int i0 = ib * kGemmMC;
-      const int mc = std::min(kGemmMC, m - i0);
-      const int ipanels = (mc + kMR - 1) / kMR;
-      std::vector<float> apack(static_cast<size_t>(ipanels) * kc * kMR);
-      PackAPanels(a, lda, a_trans, i0, mc, p0, kc, apack.data());
-      alignas(32) float scratch[kMR * kNR];
-      for (int jp = 0; jp < jpanels; ++jp) {
-        const float* bp = bpack.data() + static_cast<size_t>(jp) * kc * kNR;
-        const int j0 = jp * kNR;
-        const int cols = std::min(kNR, n - j0);
+    PackBPanels(b, ldb, trans, p0, std::min(kGemmKC, k - p0), n,
+                packed.data() + static_cast<size_t>(p0) * jpanels * kNR);
+  }
+  return packed;
+}
+
+/// Adds one kMR x kNR tile's product into C. A ragged tile (rows < kMR or
+/// cols < kNR) runs the micro-kernel on a zeroed scratch tile and adds the
+/// live region back, so the micro-kernel stays branch-free.
+inline void AddTile(MicroKernelFn micro, int kc, const float* ap,
+                    const float* bp, int rows, int cols, float* c, int ldc) {
+  if (rows == kMR && cols == kNR) {
+    micro(kc, ap, bp, c, ldc);
+    return;
+  }
+  alignas(32) float scratch[kMR * kNR] = {};
+  micro(kc, ap, bp, scratch, kNR);
+  for (int r = 0; r < rows; ++r) {
+    float* crow = c + static_cast<size_t>(r) * ldc;
+    for (int j = 0; j < cols; ++j) crow[j] += scratch[r * kNR + j];
+  }
+}
+
+/// C rows [i0, i0+mc) (n columns, leading dimension ldc) += A rows
+/// [i0, i0+mc) * B, with B packed by PackB. Serial, and safe to call from
+/// ParallelFor bodies: the A panels go to a per-thread buffer. i0 must be
+/// a multiple of kMR; then every C element sees the same FMA chain
+/// whichever row split the caller picks, because the tiles and the slab
+/// order do not depend on it.
+void PackedGemmRows(const GemmKernels& kernels, const float* a, int lda,
+                    bool a_trans, int i0, int mc, const float* bpack, int k,
+                    int n, float* c, int ldc) {
+  thread_local std::vector<float> apack;
+  if (apack.size() < static_cast<size_t>(kGemmMC) * kGemmKC) {
+    apack.resize(static_cast<size_t>(kGemmMC) * kGemmKC);
+  }
+  const int jpanels = (n + kNR - 1) / kNR;
+  const int full_jpanels = n / kNR;
+  const int i_end = i0 + mc;
+  for (int bi = i0; bi < i_end; bi += kGemmMC) {
+    const int block_rows = std::min(kGemmMC, i_end - bi);
+    const int ipanels = (block_rows + kMR - 1) / kMR;
+    for (int p0 = 0; p0 < k; p0 += kGemmKC) {
+      const int kc = std::min(kGemmKC, k - p0);
+      PackAPanels(a, lda, a_trans, bi, block_rows, p0, kc, apack.data());
+      const float* bslab = bpack + static_cast<size_t>(p0) * jpanels * kNR;
+      const size_t panel_floats = static_cast<size_t>(kc) * kNR;
+      for (int jp = 0; jp < jpanels;) {
+        // Two full j-panels go to the pair kernel where the tier has one;
+        // an odd trailing full panel and the ragged last panel go alone.
+        const int width =
+            kernels.pair != nullptr && jp + 1 < full_jpanels ? 2 : 1;
+        const float* bp = bslab + jp * panel_floats;
         for (int ip = 0; ip < ipanels; ++ip) {
           const float* ap = apack.data() + static_cast<size_t>(ip) * kc * kMR;
-          const int i = i0 + ip * kMR;
-          const int rows = std::min(kMR, m - i);
-          if (rows == kMR && cols == kNR) {
-            micro(kc, ap, bp, c + static_cast<size_t>(i) * ldc + j0, ldc);
-          } else {
-            // Edge tile: accumulate into a zeroed scratch tile, then add
-            // the valid region back — the micro-kernel stays branch-free.
-            std::memset(scratch, 0, sizeof(scratch));
-            micro(kc, ap, bp, scratch, kNR);
-            for (int r = 0; r < rows; ++r) {
-              float* crow = c + static_cast<size_t>(i + r) * ldc + j0;
-              for (int j = 0; j < cols; ++j) crow[j] += scratch[r * kNR + j];
-            }
+          const int i = bi + ip * kMR;
+          const int rows = std::min(kMR, i_end - i);
+          float* ct = c + static_cast<size_t>(i) * ldc + jp * kNR;
+          if (width == 2 && rows == kMR) {
+            kernels.pair(kc, ap, bp, bp + panel_floats, ct, ldc);
+            continue;
+          }
+          for (int w = 0; w < width; ++w) {
+            AddTile(kernels.tile, kc, ap, bp + w * panel_floats, rows,
+                    std::min(kNR, n - (jp + w) * kNR), ct + w * kNR, ldc);
           }
         }
+        jp += width;
       }
-    });
+    }
+  }
+}
+
+/// C(m x n, ldc) += A * B over the packed panels: B is packed once, then
+/// one ParallelFor runs PackedGemmRows per kGemmMC-row block. The A/B
+/// transpose flags select the packing reads; the compute loop is
+/// identical for all three MatMul entry points.
+void PackedGemmInto(index::KernelTier tier, int m, int n, int k,
+                    const float* a, int lda, bool a_trans, const float* b,
+                    int ldb, bool b_trans, float* c, int ldc) {
+  const GemmKernels kernels = KernelsFor(tier);
+  const std::vector<float> bpack = PackB(b, ldb, b_trans, k, n);
+  const int iblocks = (m + kGemmMC - 1) / kGemmMC;
+  ParallelFor(iblocks, [&](int ib) {
+    const int i0 = ib * kGemmMC;
+    PackedGemmRows(kernels, a, lda, a_trans, i0, std::min(kGemmMC, m - i0),
+                   bpack.data(), k, n, c, ldc);
+  });
+}
+
+/// C rows [0, rows) += A rows [0, rows) * B on the cache-blocked loop
+/// (`a` has leading dimension lda, `c` ldc = b.cols()). Serial; each C
+/// element's sum does not depend on the row split. MatMulBlocked runs it
+/// per parallel row block.
+void BlockedGemmRows(const float* a, int lda, int rows, const Matrix& b,
+                     float* c) {
+  const int k = b.rows();
+  const int n = b.cols();
+  for (int p0 = 0; p0 < k; p0 += kKC) {
+    const int p1 = std::min(p0 + kKC, k);
+    for (int i = 0; i < rows; ++i) {
+      const float* arow = a + static_cast<size_t>(i) * lda;
+      float* crow = c + static_cast<size_t>(i) * n;
+      int p = p0;
+      for (; p + 4 <= p1; p += 4) {
+        const float avs[4] = {arow[p], arow[p + 1], arow[p + 2], arow[p + 3]};
+        const float* brows[4] = {b.Row(p), b.Row(p + 1), b.Row(p + 2),
+                                 b.Row(p + 3)};
+        Axpy4(crow, avs, brows, n);
+      }
+      for (; p < p1; ++p) Axpy1(crow, arow[p], b.Row(p), n);
+    }
   }
 }
 
 }  // namespace
 
-bool PackedGemmAvailable() {
+bool PackedGemmTierAvailable(index::KernelTier tier) {
 #if defined(UHSCM_HAVE_GEMM_AVX2)
-  static const bool available = [] {
-    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
-      return false;
-    }
-    // Honor the kernel-tier override so the forced-scalar CI legs cover
-    // the portable micro-kernel alongside the scalar Hamming tier.
-    return index::ActiveKernelTier() != index::KernelTier::kScalar;
-  }();
-  return available;
-#else
+  static const bool avx2 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  static const bool avx512 = avx2 && __builtin_cpu_supports("avx512f");
+  switch (tier) {
+    case index::KernelTier::kScalar:
+      return true;
+    case index::KernelTier::kAvx2:
+      return avx2;
+    case index::KernelTier::kAvx512:
+      return avx512;
+  }
   return false;
+#else
+  return tier == index::KernelTier::kScalar;
 #endif
+}
+
+index::KernelTier PackedGemmTier() {
+  static const index::KernelTier tier = [] {
+    index::KernelTier t = index::ActiveKernelTier();
+    if (t == index::KernelTier::kAvx512 && !PackedGemmTierAvailable(t)) {
+      t = index::KernelTier::kAvx2;
+    }
+    if (t == index::KernelTier::kAvx2 && !PackedGemmTierAvailable(t)) {
+      t = index::KernelTier::kScalar;
+    }
+    return t;
+  }();
+  return tier;
+}
+
+Matrix PackedMatMulOnTier(index::KernelTier tier, const Matrix& a,
+                          bool a_trans, const Matrix& b, bool b_trans) {
+  UHSCM_CHECK(PackedGemmTierAvailable(tier),
+              "PackedMatMulOnTier: tier not runnable on this CPU");
+  const int m = a_trans ? a.cols() : a.rows();
+  const int k = a_trans ? a.rows() : a.cols();
+  const int n = b_trans ? b.rows() : b.cols();
+  UHSCM_CHECK((b_trans ? b.cols() : b.rows()) == k,
+              "PackedMatMulOnTier: inner dims mismatch");
+  Matrix c(m, n);
+  if (c.empty()) return c;
+  // Row-major storage makes the leading dimension the stored column count
+  // whether or not the operand is read transposed.
+  PackedGemmInto(tier, m, n, k, a.data(), a.cols(), a_trans, b.data(),
+                 b.cols(), b_trans, c.data(), n);
+  return c;
+}
+
+MatMulRhs::MatMulRhs(const Matrix& b, int total_rows)
+    : b_(&b), tier_(PackedGemmTier()) {
+  if (int64_t{total_rows} * b.rows() * b.cols() >= kPackedMinFlops) {
+    packed_ = PackB(b.data(), b.cols(), /*trans=*/false, b.rows(), b.cols());
+  }
+}
+
+void MatMulRhs::MultiplyRows(const float* a, int rows, float* c) const {
+  const int k = b_->rows();
+  const int n = b_->cols();
+  std::fill(c, c + static_cast<size_t>(rows) * n, 0.0f);
+  if (packed_.empty()) {
+    BlockedGemmRows(a, k, rows, *b_, c);
+  } else {
+    PackedGemmRows(KernelsFor(tier_), a, k, /*a_trans=*/false, 0, rows,
+                   packed_.data(), k, n, c, n);
+  }
 }
 
 Matrix MatMulBlocked(const Matrix& a, const Matrix& b) {
   UHSCM_CHECK(a.cols() == b.rows(), "MatMul: inner dims mismatch");
   Matrix c(a.rows(), b.cols());
   const int m = a.rows();
-  const int k = a.cols();
-  const int n = b.cols();
   const int mc = PickRowBlock(m);
   const int iblocks = (m + mc - 1) / mc;
   ParallelFor(iblocks, [&](int ib) {
     const int i0 = ib * mc;
     const int i1 = std::min(i0 + mc, m);
-    for (int p0 = 0; p0 < k; p0 += kKC) {
-      const int p1 = std::min(p0 + kKC, k);
-      for (int i = i0; i < i1; ++i) {
-        const float* arow = a.Row(i);
-        float* crow = c.Row(i);
-        int p = p0;
-        for (; p + 4 <= p1; p += 4) {
-          const float avs[4] = {arow[p], arow[p + 1], arow[p + 2],
-                                arow[p + 3]};
-          const float* brows[4] = {b.Row(p), b.Row(p + 1), b.Row(p + 2),
-                                   b.Row(p + 3)};
-          Axpy4(crow, avs, brows, n);
-        }
-        for (; p < p1; ++p) Axpy1(crow, arow[p], b.Row(p), n);
-      }
-    }
+    BlockedGemmRows(a.Row(i0), a.cols(), i1 - i0, b, c.Row(i0));
   });
   return c;
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   UHSCM_CHECK(a.cols() == b.rows(), "MatMul: inner dims mismatch");
-  const int m = a.rows();
-  const int k = a.cols();
-  const int n = b.cols();
-  if (int64_t{m} * k * n < kPackedMinFlops) return MatMulBlocked(a, b);
-  Matrix c(m, n);
-  PackedGemmInto(m, n, k, a.data(), k, /*a_trans=*/false, b.data(), n,
-                 /*b_trans=*/false, c.Row(0), n);
-  return c;
+  if (int64_t{a.rows()} * a.cols() * b.cols() < kPackedMinFlops) {
+    return MatMulBlocked(a, b);
+  }
+  return PackedMatMulOnTier(PackedGemmTier(), a, false, b, false);
 }
 
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
@@ -344,10 +526,8 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   const int pk = a.rows();
   const int pn = b.cols();
   if (int64_t{pm} * pk * pn >= kPackedMinFlops) {
-    Matrix c(pm, pn);
-    PackedGemmInto(pm, pn, pk, a.data(), pm, /*a_trans=*/true, b.data(), pn,
-                   /*b_trans=*/false, c.Row(0), pn);
-    return c;
+    return PackedMatMulOnTier(PackedGemmTier(), a, /*a_trans=*/true, b,
+                              /*b_trans=*/false);
   }
   Matrix c(a.cols(), b.cols());
   const int m = a.cols();
@@ -383,11 +563,8 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   UHSCM_CHECK(a.cols() == b.cols(), "MatMulTransB: dims mismatch");
   if (int64_t{a.rows()} * a.cols() * b.rows() >= kPackedMinFlops) {
-    Matrix c(a.rows(), b.rows());
-    PackedGemmInto(a.rows(), b.rows(), a.cols(), a.data(), a.cols(),
-                   /*a_trans=*/false, b.data(), b.cols(), /*b_trans=*/true,
-                   c.Row(0), b.rows());
-    return c;
+    return PackedMatMulOnTier(PackedGemmTier(), a, /*a_trans=*/false, b,
+                              /*b_trans=*/true);
   }
   Matrix c(a.rows(), b.rows());
   const int k = a.cols();

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
+#include "index/hamming_kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/ops.h"
+#include "test_util.h"
 
 namespace uhscm::linalg {
 namespace {
+
+using testing::SameBytes;
 
 // ---------------------------------------------------------------- Matrix
 
@@ -199,8 +204,8 @@ TEST_P(PackedGemmShapes, PackedMatchesBlockedAndNaive) {
   // Shapes above the packed-panel dispatch threshold, chosen to cross the
   // kMR=6 / kNR=16 micro-tile edges, the kGemmKC=256 inner slab, and the
   // kGemmMC i-block — each with remainders. All three variants must agree
-  // with the naive reference (float reassociation tolerance) regardless
-  // of which micro-kernel (AVX2 or portable) PickMicroKernel chose.
+  // with the naive reference (float reassociation tolerance) whichever
+  // micro-kernel tier PackedGemmTier() picked.
   const auto [m, k, n] = GetParam();
   Rng rng(301);
   Matrix a = Matrix::RandomNormal(m, k, &rng);
@@ -239,6 +244,94 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(96, 256, 96),   // exact kGemmKC slab
                       std::make_tuple(97, 300, 31),   // kGemmMC + slab tails
                       std::make_tuple(6, 3000, 16))); // single tile, deep k
+
+class GemmTierIdentity
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(GemmTierIdentity, FmaTiersMatchAvx2Bytewise) {
+  // The AVX-512 tier computes two j-panels per micro-tile, but each C
+  // element keeps the AVX2 kernel's FMA chain, edge-tile rule and slab
+  // order, so its products equal the AVX2 tier's byte for byte. The
+  // portable kernel rounds each multiply and add separately; it only has
+  // to agree within reassociation tolerance. The public entry points must
+  // be the active tier's packed product.
+  if (!PackedGemmTierAvailable(index::KernelTier::kAvx2)) {
+    GTEST_SKIP() << "no AVX2+FMA on this CPU: nothing to compare against";
+  }
+  const auto [m, k, n] = GetParam();
+  Rng rng(401);
+  const Matrix a = Matrix::RandomNormal(m, k, &rng);
+  const Matrix b = Matrix::RandomNormal(k, n, &rng);
+  const Matrix at = a.Transposed();
+  const Matrix bt = b.Transposed();
+  struct Variant {
+    const char* name;
+    const Matrix* lhs;
+    bool lhs_trans;
+    const Matrix* rhs;
+    bool rhs_trans;
+    Matrix (*entry)(const Matrix&, const Matrix&);
+  };
+  const Variant variants[] = {{"MatMul", &a, false, &b, false, &MatMul},
+                              {"MatMulTransA", &at, true, &b, false,
+                               &MatMulTransA},
+                              {"MatMulTransB", &a, false, &bt, true,
+                               &MatMulTransB}};
+  const float tol = 5e-6f * static_cast<float>(k) + 1e-4f;
+  for (const Variant& v : variants) {
+    const Matrix avx2 = PackedMatMulOnTier(index::KernelTier::kAvx2, *v.lhs,
+                                           v.lhs_trans, *v.rhs, v.rhs_trans);
+    for (int t = 0; t < index::kNumKernelTiers; ++t) {
+      const auto tier = static_cast<index::KernelTier>(t);
+      if (!PackedGemmTierAvailable(tier)) continue;
+      const Matrix got =
+          PackedMatMulOnTier(tier, *v.lhs, v.lhs_trans, *v.rhs, v.rhs_trans);
+      if (tier == index::KernelTier::kScalar) {
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_NEAR(got.data()[i], avx2.data()[i], tol) << v.name << " " << i;
+        }
+      } else {
+        EXPECT_TRUE(SameBytes(got, avx2))
+            << v.name << " on " << index::KernelTierName(tier);
+      }
+    }
+    EXPECT_TRUE(SameBytes(v.entry(*v.lhs, *v.rhs),
+                          PackedMatMulOnTier(PackedGemmTier(), *v.lhs,
+                                             v.lhs_trans, *v.rhs, v.rhs_trans)))
+        << v.name << " is not the active tier's packed product";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmTierIdentity,
+    ::testing::Values(
+        // k > kGemmKC with n % 32 in 16..31 (a full panel pair, then a
+        // lone full or ragged panel) and m % 6 != 0.
+        std::make_tuple(101, 600, 48), std::make_tuple(25, 520, 59),
+        std::make_tuple(97, 300, 31), std::make_tuple(193, 777, 95),
+        // Trainer shapes at batch t = 128 and the 26-row last batch:
+        // the three layer products and the backward products.
+        std::make_tuple(128, 256, 512), std::make_tuple(128, 512, 256),
+        std::make_tuple(128, 256, 64), std::make_tuple(26, 256, 512),
+        std::make_tuple(26, 512, 256), std::make_tuple(26, 256, 64),
+        std::make_tuple(256, 128, 512), std::make_tuple(512, 26, 256)));
+
+TEST(OpsTest, MatMulRhsRowBlocksMatchMatMul) {
+  // Row blocks at multiples of kGemmMC reproduce MatMul byte for byte, on
+  // the packed path and on the blocked one (picked from total_rows, not
+  // from the block).
+  Rng rng(402);
+  for (const int m : {1, 7, 97, 300}) {
+    const Matrix a = Matrix::RandomNormal(m, 300, &rng);
+    const Matrix b = Matrix::RandomNormal(300, 40, &rng);
+    const MatMulRhs rhs(b, m);
+    Matrix c(m, b.cols());
+    for (int r0 = 0; r0 < m; r0 += kGemmMC) {
+      rhs.MultiplyRows(a.Row(r0), std::min(kGemmMC, m - r0), c.Row(r0));
+    }
+    EXPECT_TRUE(SameBytes(c, MatMul(a, b))) << "m=" << m;
+  }
+}
 
 TEST(OpsTest, MatMulZeroHeavyInputsStayExact) {
   // The dense kernels dropped the av == 0 skip; sparse inputs must still

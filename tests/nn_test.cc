@@ -2,19 +2,26 @@
 
 #include <cmath>
 #include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "core/hashing_network.h"
+#include "core/trainer.h"
 #include "linalg/ops.h"
 #include "nn/activations.h"
 #include "nn/gradient_check.h"
 #include "nn/linear.h"
 #include "nn/sequential.h"
 #include "nn/sgd.h"
+#include "test_util.h"
 
 namespace uhscm::nn {
 namespace {
 
 using linalg::Matrix;
+using testing::SameBytes;
 
 /// Scalar loss 0.5*||out||^2 with grad = out; the simplest valid loss_fn
 /// for gradient checking.
@@ -223,6 +230,125 @@ TEST(ZeroGradTest, ClearsAccumulatedGradients) {
     for (size_t i = 0; i < p.grad->size(); ++i) {
       EXPECT_EQ(p.grad->data()[i], 0.0f);
     }
+  }
+}
+
+// ------------------------------------------- HashingNetwork inference
+
+/// The first `rows` rows of `source`, cycling when it has fewer.
+Matrix CycleRows(const Matrix& source, int rows) {
+  std::vector<int> ids(static_cast<size_t>(rows));
+  for (int i = 0; i < rows; ++i) ids[static_cast<size_t>(i)] = i % source.rows();
+  return source.SelectRows(ids);
+}
+
+constexpr int kMaxEncodeRows = 8193;
+
+/// A network at the default widths (hidden 512/256, 64 bits) fresh from
+/// Xavier init, and one the UHSCM trainer trained on a tiny synthetic
+/// environment, each with kMaxEncodeRows input rows. Built once; the
+/// row-count tests re-set layer 3's bias for their own input (TieToZero).
+struct EncodeFixtures {
+  std::unique_ptr<core::HashingNetwork> random;
+  Matrix random_pixels;
+  std::unique_ptr<core::HashingNetwork> trained;
+  Matrix trained_pixels;
+};
+
+EncodeFixtures& Fixtures() {
+  static EncodeFixtures* fixtures = [] {
+    auto* f = new EncodeFixtures;
+    Rng rng(31);
+    // 300 inputs put layer 1 past the 256-deep GEMM slab as well.
+    f->random = std::make_unique<core::HashingNetwork>(
+        300, core::HashingNetworkOptions{}, &rng);
+    f->random_pixels = Matrix::RandomNormal(kMaxEncodeRows, 300, &rng);
+
+    testing::TinyEnv env = testing::MakeTinyEnv("cifar", 200, 100, 40);
+    core::UhscmConfig config = core::DefaultConfigFor("cifar", 64);
+    config.max_epochs = 3;
+    config.batch_size = 64;
+    core::UhscmTrainer trainer(env.vlp.get(), config);
+    Result<core::UhscmModel> model = trainer.Train(
+        env.dataset.pixels.SelectRows(env.dataset.split.train), env.vocab);
+    UHSCM_CHECK(model.ok(), "trainer failed on the tiny environment");
+    f->trained = std::move(model->network);
+    f->trained_pixels = CycleRows(env.dataset.pixels, kMaxEncodeRows);
+    return f;
+  }();
+  return *fixtures;
+}
+
+/// The row TieToZero ties code bit c to: the last 64 rows, one per bit,
+/// cycling when x has fewer.
+int TiedRow(int c, int rows) { return rows - 1 - c % rows; }
+
+/// Sets layer 3's bias so that, for every code bit c, row TiedRow(c) of x
+/// lands on exactly z = 0 under Forward's own arithmetic. Those signs then
+/// hang on the last bit of every product, so a change of GEMM path,
+/// block alignment or rounding upstream of them flips about half.
+void TieToZero(core::HashingNetwork* net, const Matrix& x) {
+  Sequential* model = net->model();
+  auto* fc3 = static_cast<Linear*>(model->layer(4));
+  Matrix h = x;
+  for (int l = 0; l < 4; ++l) h = model->layer(l)->Forward(h);
+  const Matrix z = linalg::MatMul(h, fc3->weight());
+  Matrix* bias = fc3->Parameters()[1].value;
+  for (int c = 0; c < bias->cols(); ++c) {
+    (*bias)(0, c) = -z(TiedRow(c, x.rows()), c);
+  }
+}
+
+class EncodeBinaryRows : public ::testing::TestWithParam<int> {};
+
+TEST_P(EncodeBinaryRows, MatchesSignOfForwardBytewise) {
+  // The fused pass must reproduce the training path's codes exactly:
+  // row blocks at multiples of kGemmMC, the packed-vs-blocked choice made
+  // for the whole input (under 16 rows layer 3 is below the packed
+  // threshold), and sgn(z) in place of sgn(tanh z), +0 included. The
+  // last rows are tied to z = 0, so they catch any rounding difference.
+  const int rows = GetParam();
+  EncodeFixtures& f = Fixtures();
+  for (auto [net, pixels] :
+       {std::pair{f.random.get(), &f.random_pixels},
+        std::pair{f.trained.get(), &f.trained_pixels}}) {
+    const char* name = net == f.random.get() ? "random" : "trained";
+    const Matrix x = CycleRows(*pixels, rows);
+    TieToZero(net, x);
+    const Matrix codes = net->EncodeBinary(x);
+    const Matrix reference = linalg::Sign(net->Forward(x));
+    EXPECT_TRUE(SameBytes(codes, reference))
+        << name << " network, " << rows << " rows";
+    for (int c = 0; c < reference.cols(); ++c) {
+      ASSERT_EQ(reference(TiedRow(c, rows), c), 1.0f) << name << ": tie missed";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RowCounts, EncodeBinaryRows,
+                         ::testing::Values(1, 5, 15, 16, 95, 96, 97, 1000,
+                                           kMaxEncodeRows));
+
+TEST(EncodeBinaryTest, ConcurrentCallersMatchSerial) {
+  // EncodeBinary is const and keeps no caches: four threads sharing one
+  // network, each with its own row count, get the serial codes.
+  const core::HashingNetwork& net = *Fixtures().trained;
+  const int sizes[4] = {1000, 97, 500, 15};
+  std::vector<Matrix> inputs, serial;
+  for (const int rows : sizes) {
+    inputs.push_back(CycleRows(Fixtures().trained_pixels, rows));
+    serial.push_back(net.EncodeBinary(inputs.back()));
+  }
+  std::vector<Matrix> got(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep) got[t] = net.EncodeBinary(inputs[t]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < 4; ++t) {
+    EXPECT_TRUE(SameBytes(got[t], serial[t])) << "thread " << t;
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef UHSCM_TESTS_TEST_UTIL_H_
 #define UHSCM_TESTS_TEST_UTIL_H_
 
+#include <cstring>
 #include <memory>
 
 #include "common/rng.h"
@@ -21,6 +22,13 @@ inline linalg::Matrix RandomSignCodes(int n, int bits, Rng* rng) {
     m.data()[i] = rng->Bernoulli(0.5) ? 1.0f : -1.0f;
   }
   return m;
+}
+
+/// Byte equality of two matrices (memcmp), so -0 vs +0 and NaN payloads
+/// count as different.
+inline bool SameBytes(const linalg::Matrix& x, const linalg::Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
 }
 
 /// A small, fully wired synthetic environment shared by the heavier

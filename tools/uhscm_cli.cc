@@ -44,8 +44,9 @@
 //       queue depth, flush reasons, and time-in-queue percentiles. The
 //       query stream is loaded/encoded once and its packed buffer reused
 //       across all passes. Queries are encoded from the synthetic query
-//       split when --model is given, otherwise sampled from the database
-//       codes themselves. --deadline-ms=F stamps every request with a
+//       split when --model is given, otherwise they are the first live
+//       database codes with distinct values (so the cold pass misses the
+//       result cache). --deadline-ms=F stamps every request with a
 //       deadline F ms after its submission; a request still unbatched at
 //       its deadline resolves DeadlineExceeded without reaching the
 //       engine. The observability flags export the metrics registry,
@@ -80,6 +81,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -656,7 +658,7 @@ int CmdServe(const Flags& flags) {
   io::CodesSnapshot snapshot = std::move(loaded).ValueOrDie();
 
   // Build the query stream *once*: real encoded queries when a model is
-  // given, otherwise surviving database codes replayed against
+  // given, otherwise distinct surviving database codes replayed against
   // themselves. Every replay pass below submits straight out of this one
   // packed buffer — the stream is never re-read or re-encoded per pass.
   // Either way `--queries` caps the stream.
@@ -685,16 +687,19 @@ int CmdServe(const Flags& flags) {
     queries = index::PackedCodes::FromSignMatrix(
         (*net)->EncodeBinary(env.dataset.pixels.SelectRows(query_rows)));
   } else {
-    // First live rows of the snapshot (a v1 artifact has no tombstone
-    // bitmap — every row is live).
+    // The first live rows of the snapshot with distinct codes (a v1
+    // artifact has no tombstone bitmap — every row is live). Trained
+    // codes repeat heavily, and a repeated code is a result-cache hit, so
+    // replaying duplicates would let the cold pass measure the cache.
     const int words_per_code = snapshot.codes.words_per_code();
-    const int count = std::min(max_queries, snapshot.LiveCount());
+    std::set<std::vector<uint64_t>> seen;
     std::vector<uint64_t> words;
-    words.reserve(static_cast<size_t>(count) * words_per_code);
     int taken = 0;
-    for (int gid = 0; gid < snapshot.codes.size() && taken < count; ++gid) {
+    for (int gid = 0; gid < snapshot.codes.size() && taken < max_queries;
+         ++gid) {
       if (snapshot.IsDead(gid)) continue;
       const uint64_t* src = snapshot.codes.code(gid);
+      if (!seen.emplace(src, src + words_per_code).second) continue;
       words.insert(words.end(), src, src + words_per_code);
       ++taken;
     }

@@ -9,7 +9,7 @@
 //                       kernel, forced to <tier>
 //   batched/<t>/unfused : the pre-fusion two-pass scan at the dispatched
 //                       tier (kernel writes distances, a second pass
-//                       re-reads them for the block minimum)
+//                       re-reads them for each sub-chunk minimum)
 //   kernel/<tier>     : the raw batch kernel, no top-k bookkeeping — the
 //                       upper-bound GB/s the scan is chasing
 //

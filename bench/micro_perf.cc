@@ -20,6 +20,7 @@
 #include "index/linear_scan.h"
 #include "index/multi_index_hash.h"
 #include "index/packed_codes.h"
+#include "index/self_join.h"
 #include "linalg/ops.h"
 #include "perf_util.h"
 #include "vlp/simulated_vlp.h"
@@ -163,6 +164,24 @@ BENCHMARK(BM_BatchTopK)
     ->Args({100000, 64, 32})
     ->Args({100000, 128, 32})
     ->Args({10000, 128, 256});
+
+void BM_TopKJoin(benchmark::State& state) {
+  // The corpus self-join at the repo benchmark's dedup shape: every one
+  // of 20k 64-bit rows gets its k=10 nearest other rows. Arg = worker
+  // threads (0 = hardware concurrency), so real time is reported.
+  const int threads = static_cast<int>(state.range(0));
+  constexpr int kRows = 20000;
+  Rng rng(23);
+  const index::PackedCodes codes =
+      index::PackedCodes::FromSignMatrix(RandomSignCodes(kRows, 64, &rng));
+  index::SelfJoinOptions options;
+  options.threads = threads;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index::TopKJoin(codes, 10, options));
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t{kRows} * kRows);
+}
+BENCHMARK(BM_TopKJoin)->Arg(1)->Arg(0)->UseRealTime();
 
 void BM_MihRadiusQuery(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

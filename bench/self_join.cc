@@ -1,4 +1,4 @@
-// self_join — tiled corpus x corpus join vs the naive per-pair loop.
+// self_join — row-blocked corpus x corpus join vs the naive per-pair loop.
 //
 // Builds a corpus with planted near-duplicate clusters (plus random
 // background rows and a few tombstones — the dedup workload shape) and
@@ -8,12 +8,16 @@
 //                       HammingDistance loop (the mostsimilar shape) with
 //                       bounded-heap reduction; also the identity oracle
 //   naive/radius      : ReferenceRadiusJoin — same loop, threshold filter
-//   join/topk/<tier>  : tiled TopKJoin forced to <tier>, fused block-min
+//   join/topk/<tier>  : TopKJoin forced to <tier>, fused sub-chunk min
+//   join/topk/<t>/threads=1 : the dispatched tier on one thread, so its
+//                       speedup over the single-threaded naive loop is
+//                       read at an equal thread count
 //   join/topk/unfused : dispatched tier, two-pass min (fusion A/B)
-//   join/radius/<tier>: tiled RadiusJoin forced to <tier> — the min-skip
-//                       showcase (a sparse radius prunes almost all work
-//                       at tile/chunk granularity)
-//   tile/topk/<rows>  : tile-size sweep at the dispatched tier
+//   join/radius/<tier>: RadiusJoin forced to <tier> — the min-skip
+//                       showcase (a sparse radius prunes almost every
+//                       sub-chunk)
+//   tile/topk/<codes> : code-block sweep at the dispatched tier
+//                       (SelfJoinOptions::tile)
 //
 // Every engine result is checked byte-identical to its naive reference —
 // ids, distances, tie order, tombstoned rows — before any number is
@@ -21,7 +25,8 @@
 // BENCH_self_join.json. One gate, armed only where it can hold (SIMD
 // present, n >= 50000, bits >= 128):
 //
-//   headline : tiled TopKJoin >= 5x the naive per-pair loop (pairs/sec)
+//   headline : TopKJoin at --threads >= 5x the naive per-pair loop
+//              (pairs/sec)
 //
 // The naive rows are timed once instead of best-of-N: at n >= 50k they
 // run for seconds, long enough that scheduler noise amortizes; best-of
@@ -249,8 +254,27 @@ int Main(int argc, char** argv) {
             nullptr);
   }
 
-  // Tiled TopKJoin per tier (fused — the default). The scalar row
-  // isolates the tiling/batching win; higher tiers add the SIMD win.
+  // Best-of-reps TopKJoin under `options`, checked byte-identical to the
+  // naive reference before its row is added; returns its seconds, or a
+  // negative value on a mismatch.
+  auto run_topk = [&](const index::SelfJoinOptions& options,
+                      const std::string& name, const std::string& tier) {
+    index::SelfJoinStats stats;
+    std::vector<std::vector<index::Neighbor>> got;
+    const double secs = TimeBest(flags.reps, [&] {
+      got = index::TopKJoin(corpus, flags.k, options, &stats);
+    });
+    if (!SameTopK(got, want_topk)) {
+      std::fprintf(stderr, "FATAL: %s differs from naive reference\n",
+                   name.c_str());
+      return -1.0;
+    }
+    add_row(name, tier, secs, naive_topk_secs, &stats);
+    return secs;
+  };
+
+  // TopKJoin per tier (fused — the default). The scalar row isolates
+  // the sub-chunk skip and batching win; higher tiers add the SIMD win.
   double engine_topk_secs = 0.0;
   for (const index::KernelTier tier : tiers) {
     index::SelfJoinOptions options;
@@ -258,19 +282,24 @@ int Main(int argc, char** argv) {
     options.tier = tier;
     options.threads = flags.threads;
     options.tombstones = &dead;
-    index::SelfJoinStats stats;
-    std::vector<std::vector<index::Neighbor>> got;
-    const double secs = TimeBest(flags.reps, [&] {
-      got = index::TopKJoin(corpus, flags.k, options, &stats);
-    });
-    if (!SameTopK(got, want_topk)) {
-      std::fprintf(stderr, "FATAL: TopKJoin/%s differs from naive reference\n",
-                   index::KernelTierName(tier));
-      return 1;
-    }
-    add_row(std::string("join/topk/") + index::KernelTierName(tier),
-            index::KernelTierName(tier), secs, naive_topk_secs, &stats);
+    const std::string tier_name = index::KernelTierName(tier);
+    const double secs = run_topk(options, "join/topk/" + tier_name, tier_name);
+    if (secs < 0.0) return 1;
     if (tier == active_tier) engine_topk_secs = secs;
+  }
+
+  // The dispatched tier on one thread: the naive loop is
+  // single-threaded, so this is the equal-thread-count speedup.
+  double single_thread_speedup = 0.0;
+  {
+    index::SelfJoinOptions options;
+    options.threads = 1;
+    options.tombstones = &dead;
+    const double secs = run_topk(
+        options, std::string("join/topk/") + simd_name + "/threads=1",
+        simd_name);
+    if (secs < 0.0) return 1;
+    single_thread_speedup = naive_topk_secs / secs;
   }
 
   // Fusion A/B at the dispatched tier.
@@ -279,22 +308,14 @@ int Main(int argc, char** argv) {
     options.threads = flags.threads;
     options.fused_min = false;
     options.tombstones = &dead;
-    index::SelfJoinStats stats;
-    std::vector<std::vector<index::Neighbor>> got;
-    const double secs = TimeBest(flags.reps, [&] {
-      got = index::TopKJoin(corpus, flags.k, options, &stats);
-    });
-    if (!SameTopK(got, want_topk)) {
-      std::fprintf(stderr,
-                   "FATAL: unfused TopKJoin differs from naive reference\n");
+    if (run_topk(options, std::string("join/topk/") + simd_name + "/unfused",
+                 simd_name) < 0.0) {
       return 1;
     }
-    add_row(std::string("join/topk/") + simd_name + "/unfused", simd_name,
-            secs, naive_topk_secs, &stats);
   }
 
-  // Tiled RadiusJoin per tier — the min-skip showcase: at a sparse
-  // radius nearly every tile/chunk dies at its minimum.
+  // RadiusJoin per tier — the min-skip showcase: at a sparse radius
+  // nearly every sub-chunk dies at its minimum.
   double engine_radius_secs = 0.0;
   for (const index::KernelTier tier : tiers) {
     index::SelfJoinOptions options;
@@ -318,8 +339,8 @@ int Main(int argc, char** argv) {
     if (tier == active_tier) engine_radius_secs = secs;
   }
 
-  // Tile-size sweep at the dispatched tier: too small pays per-tile
-  // overhead, too large spills the inner block out of cache.
+  // Code-block sweep at the dispatched tier: too small pays per-block
+  // overhead, too large spills the block out of cache between queries.
   const int auto_tile =
       index::PickCodeBlockSize(corpus.words_per_code(), 0);
   for (const int tile : {auto_tile / 2, auto_tile, auto_tile * 2,
@@ -328,20 +349,12 @@ int Main(int argc, char** argv) {
     options.tile = tile;
     options.threads = flags.threads;
     options.tombstones = &dead;
-    index::SelfJoinStats stats;
-    std::vector<std::vector<index::Neighbor>> got;
-    const double secs = TimeBest(flags.reps, [&] {
-      got = index::TopKJoin(corpus, flags.k, options, &stats);
-    });
-    if (!SameTopK(got, want_topk)) {
-      std::fprintf(stderr,
-                   "FATAL: TopKJoin tile=%d differs from naive reference\n",
-                   tile);
+    if (run_topk(options,
+                 "tile/topk/" + std::to_string(tile) +
+                     (tile == auto_tile ? "(auto)" : ""),
+                 simd_name) < 0.0) {
       return 1;
     }
-    add_row("tile/topk/" + std::to_string(tile) +
-                (tile == auto_tile ? "(auto)" : ""),
-            simd_name, secs, naive_topk_secs, &stats);
   }
 
   // Dedup reduction on top of the radius join — group counts are sanity,
@@ -375,9 +388,11 @@ int Main(int argc, char** argv) {
       engine_radius_secs > 0.0 ? naive_radius_secs / engine_radius_secs : 0.0;
   std::printf(
       "\nall join results byte-identical to the naive per-pair reference\n");
-  std::printf("headline: tiled %s TopKJoin = %.2fx naive per-pair loop\n",
+  std::printf("headline: %s TopKJoin = %.2fx naive per-pair loop\n",
               simd_name, headline);
-  std::printf("radius:   tiled %s RadiusJoin = %.2fx naive per-pair loop\n",
+  std::printf("1-thread: %s TopKJoin = %.2fx naive per-pair loop\n",
+              simd_name, single_thread_speedup);
+  std::printf("radius:   %s RadiusJoin = %.2fx naive per-pair loop\n",
               simd_name, radius_speedup);
   std::printf("dedup:    %zu groups, %lld rows clustered\n",
               groups.groups.size(),
@@ -419,10 +434,11 @@ int Main(int argc, char** argv) {
                    "  ],\n  \"dedup_groups\": %zu,\n"
                    "  \"rows_clustered\": %lld,\n"
                    "  \"headline_speedup\": %.3f,\n"
+                   "  \"single_thread_speedup\": %.3f,\n"
                    "  \"radius_speedup\": %.3f\n}\n",
                    groups.groups.size(),
                    static_cast<long long>(groups.rows_clustered), headline,
-                   radius_speedup);
+                   single_thread_speedup, radius_speedup);
       std::fclose(f);
       std::printf("wrote %s\n", flags.json.c_str());
     }
@@ -435,7 +451,7 @@ int Main(int argc, char** argv) {
                           flags.n >= 50000 && flags.bits >= 128;
   if (gate_armed && headline < 5.0) {
     std::fprintf(stderr,
-                 "\nFAIL: tiled TopKJoin only %.2fx the naive per-pair loop "
+                 "\nFAIL: TopKJoin only %.2fx the naive per-pair loop "
                  "(need >= 5x)\n",
                  headline);
     return 1;

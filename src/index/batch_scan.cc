@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/kernel_counters.h"
-
 namespace uhscm::index {
 namespace {
 
@@ -19,115 +17,67 @@ int PickCodeBlockSize(int words_per_code, int requested) {
   return std::max(256, kTargetBlockBytes / bytes_per_code);
 }
 
+SubChunkScan::SubChunkScan(const BatchScanOptions& options)
+    : kernel_(options.force_tier ? GetBatchDistanceFn(options.tier)
+                                 : GetBatchDistanceFn()),
+      fused_kernel_(options.force_tier ? GetBatchDistanceMinFn(options.tier)
+                                       : GetBatchDistanceMinFn()),
+      fused_(options.fused_min),
+      dead_(options.tombstones != nullptr && options.tombstones->any()
+                ? options.tombstones
+                : nullptr) {}
+
 std::vector<std::vector<Neighbor>> BatchTopK(const PackedCodes& db,
                                              const uint64_t* const* queries,
                                              int num_queries, int k,
-                                             const BatchScanOptions& options) {
+                                             const BatchScanOptions& options,
+                                             ScanPairCounts* pairs) {
   std::vector<std::vector<Neighbor>> results(
       static_cast<size_t>(std::max(0, num_queries)));
   const TombstoneSet* dead = options.tombstones;
-  if (dead != nullptr && !dead->any()) dead = nullptr;
   // Clamp k to the live row count so a heap can actually fill (the
-  // early-abandon threshold only arms on a full heap) and the result
-  // size matches a scan over the survivors.
+  // skip threshold only arms on a full heap) and the result size
+  // matches a scan over the survivors.
   k = std::min(k, db.size() - (dead != nullptr ? dead->dead_count() : 0));
   if (k <= 0 || num_queries <= 0) return results;
 
   const int n = db.size();
-  const int words = db.words_per_code();
-  const int block = PickCodeBlockSize(words, options.code_block);
-  const BatchDistanceFn kernel = options.force_tier
-                                     ? GetBatchDistanceFn(options.tier)
-                                     : GetBatchDistanceFn();
-  const BatchDistanceMinFn fused_kernel =
-      options.force_tier ? GetBatchDistanceMinFn(options.tier)
-                         : GetBatchDistanceMinFn();
-
+  const int block = PickCodeBlockSize(db.words_per_code(), options.code_block);
   auto cmp = [](const Neighbor& a, const Neighbor& b) {
     return NeighborLess(a, b);
   };
   for (auto& heap : results) heap.reserve(static_cast<size_t>(k));
-  std::vector<int32_t> dist(static_cast<size_t>(block));
-
-  // Function-local work counters: plain integer bumps inside the scan
-  // loops, one atomic flush to the registry when the batch is done.
-  obs::KernelCounters counters;
+  SubChunkScan scan(options);
 
   for (int begin = 0; begin < n; begin += block) {
-    const int count = std::min(block, n - begin);
-    const uint64_t* block_codes = db.code(begin);
+    const int end = std::min(begin + block, n);
     for (int q = 0; q < num_queries; ++q) {
       std::vector<Neighbor>& heap = results[static_cast<size_t>(q)];
-      // Exact distances while the heap is still filling (it can only fill
-      // during the first block(s)); once full, the frozen worst-of-heap is
-      // a safe pruning threshold — it only shrinks within the block, and
-      // the live heap check below re-applies the tighter bound.
-      const int32_t threshold = static_cast<int>(heap.size()) == k
-                                    ? heap.front().distance
-                                    : kNoThreshold;
-      // Warm heap: no insertion happened yet for this block, so the heap
-      // front still equals `threshold`, and a block whose minimum
-      // distance is >= it contains no qualifying code — skip the
-      // per-code branch loop entirely. The fused kernel returns that
-      // minimum from the registers the distances were computed in; the
-      // unfused path re-reads the distance buffer it just wrote.
-      if (options.fused_min) {
-        const int32_t best = fused_kernel(queries[q], block_codes, count,
-                                          words, threshold, dist.data());
-        counters.rows_scanned += count;
-        if (threshold != kNoThreshold) {
-          counters.early_abandon_calls += 1;
-          if (best >= threshold) {
-            counters.blocks_skipped += 1;
-            continue;
-          }
-        }
-      } else {
-        kernel(queries[q], block_codes, count, words, threshold, dist.data());
-        counters.rows_scanned += count;
-        if (threshold != kNoThreshold) {
-          counters.early_abandon_calls += 1;
-          int32_t best = dist[0];
-          for (int i = 1; i < count; ++i) best = std::min(best, dist[i]);
-          if (best >= threshold) {
-            counters.blocks_skipped += 1;
-            continue;
-          }
-        }
-      }
-      auto insert_range = [&](int lo, int hi) {
-        for (int i = lo; i < hi; ++i) {
-          if (dead != nullptr && dead->Test(begin + i)) continue;
-          const int d = dist[i];
-          if (static_cast<int>(heap.size()) < k) {
-            heap.push_back({begin + i, d});
-            std::push_heap(heap.begin(), heap.end(), cmp);
-          } else if (d < heap.front().distance) {
-            // Strict < matches the per-query scan: ids only ascend, so a
-            // distance tie never displaces the current worst.
-            std::pop_heap(heap.begin(), heap.end(), cmp);
-            heap.back() = {begin + i, d};
-            std::push_heap(heap.begin(), heap.end(), cmp);
-          }
-        }
+      // The live front, read before every sub-chunk: exact distances
+      // while the heap fills, then the worst kept distance, which only
+      // shrinks.
+      auto front = [&heap, k] {
+        return static_cast<int>(heap.size()) == k ? heap.front().distance
+                                                  : kNoThreshold;
       };
-      if (options.fused_min && threshold != kNoThreshold) {
-        // The block holds at least one qualifying code, but typically only
-        // a handful: chunk-level min reductions (SIMD-friendly, L1-resident
-        // reads) locate the hot chunks and only those pay the per-code
-        // displacement branch.
-        for (int c0 = 0; c0 < count; c0 += kDistChunk) {
-          const int c1 = std::min(c0 + kDistChunk, count);
-          if (ChunkMin(dist.data(), c0, c1) >= threshold) continue;
-          insert_range(c0, c1);
+      scan.Run(db, queries[q], begin, end, front, [&](int id, int32_t d) {
+        if (static_cast<int>(heap.size()) < k) {
+          heap.push_back({id, d});
+          std::push_heap(heap.begin(), heap.end(), cmp);
+        } else if (d < heap.front().distance) {
+          // Re-checked per code: earlier lanes of this sub-chunk may have
+          // shrunk the front. Strict < matches the per-query scan: ids
+          // only ascend, so a distance tie never displaces the worst.
+          std::pop_heap(heap.begin(), heap.end(), cmp);
+          heap.back() = {id, d};
+          std::push_heap(heap.begin(), heap.end(), cmp);
         }
-      } else {
-        insert_range(0, count);
-      }
+      });
     }
   }
 
-  counters.Flush();
+  scan.counters.Flush();
+  if (pairs != nullptr) *pairs = scan.pairs;
   for (auto& heap : results) std::sort_heap(heap.begin(), heap.end(), cmp);
   return results;
 }
@@ -135,10 +85,11 @@ std::vector<std::vector<Neighbor>> BatchTopK(const PackedCodes& db,
 std::vector<std::vector<Neighbor>> BatchTopK(const PackedCodes& db,
                                              const PackedCodes& queries,
                                              int k,
-                                             const BatchScanOptions& options) {
+                                             const BatchScanOptions& options,
+                                             ScanPairCounts* pairs) {
   std::vector<const uint64_t*> ptrs(static_cast<size_t>(queries.size()));
   for (int q = 0; q < queries.size(); ++q) ptrs[static_cast<size_t>(q)] = queries.code(q);
-  return BatchTopK(db, ptrs.data(), queries.size(), k, options);
+  return BatchTopK(db, ptrs.data(), queries.size(), k, options, pairs);
 }
 
 }  // namespace uhscm::index

@@ -1,10 +1,6 @@
 #include "index/self_join.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <map>
-#include <mutex>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -15,78 +11,6 @@
 
 namespace uhscm::index {
 namespace {
-
-/// Flush bound for the buffered heap updates of an off-diagonal tile
-/// task: candidates are staged lock-free and applied under the owning
-/// tile's mutex in batches of at most this many, so a cold join (heaps
-/// not yet full, nothing prunable) cannot stage O(tile^2) entries.
-constexpr size_t kFlushCandidates = 8192;
-
-/// Safe saturating "threshold + 1": the kernels prune at >= threshold,
-/// but a pair at exactly the heap-front distance can still displace the
-/// front on the id tie-break (tile mirroring delivers candidates out of
-/// id order, unlike the ascending-id serving scan), so the join may only
-/// prune pairs whose distance is *strictly* greater than every involved
-/// front. Passing front+1 buys exactly that.
-int32_t PlusOne(int32_t threshold) {
-  return threshold >= kNoThreshold - 1 ? kNoThreshold : threshold + 1;
-}
-
-/// Per-call tile geometry plus live-row bookkeeping (prefix counts give
-/// O(1) "live pairs in range" for the pruning counters).
-struct TileMap {
-  int n = 0;
-  int tile = 0;
-  int num_tiles = 0;
-  const TombstoneSet* dead = nullptr;
-  /// live_prefix[i] = live rows among [0, i).
-  std::vector<int> live_prefix;
-
-  TileMap(const PackedCodes& codes, const SelfJoinOptions& options) {
-    n = codes.size();
-    tile = codes.words_per_code() > 0
-               ? PickCodeBlockSize(codes.words_per_code(), options.tile)
-               : 1;
-    num_tiles = n > 0 ? (n + tile - 1) / tile : 0;
-    dead = options.tombstones;
-    if (dead != nullptr && !dead->any()) dead = nullptr;
-    live_prefix.resize(static_cast<size_t>(n) + 1, 0);
-    for (int i = 0; i < n; ++i) {
-      live_prefix[static_cast<size_t>(i) + 1] =
-          live_prefix[static_cast<size_t>(i)] + (IsLive(i) ? 1 : 0);
-    }
-  }
-
-  bool IsLive(int i) const { return dead == nullptr || !dead->Test(i); }
-  int LiveIn(int lo, int hi) const {
-    return live_prefix[static_cast<size_t>(hi)] -
-           live_prefix[static_cast<size_t>(lo)];
-  }
-  int live() const { return live_prefix[static_cast<size_t>(n)]; }
-  int TileBegin(int t) const { return t * tile; }
-  int TileEnd(int t) const { return std::min(n, (t + 1) * tile); }
-};
-
-/// Work counters one task accumulates as plain ints and adds to the
-/// join-wide atomics (and the obs registry) once when it finishes.
-struct TaskCounters {
-  int64_t pruned = 0;
-  int64_t scored = 0;
-};
-
-struct JoinTotals {
-  // Relaxed: independent work counters accumulated across tasks and
-  // read only after the join's pool barrier, which orders them.
-  std::atomic<int64_t> tiles{0};
-  std::atomic<int64_t> pruned{0};
-  std::atomic<int64_t> scored{0};
-
-  void Absorb(const TaskCounters& task) {
-    tiles.fetch_add(1, std::memory_order_relaxed);
-    pruned.fetch_add(task.pruned, std::memory_order_relaxed);
-    scored.fetch_add(task.scored, std::memory_order_relaxed);
-  }
-};
 
 /// Records one stage duration into the registry's stage.* histograms
 /// (the same namespace the serving tracer fills), so the bench's
@@ -108,374 +32,40 @@ class StageTimer {
   Stopwatch watch_;
 };
 
-void FlushJoinCounters(const JoinTotals& totals) {
+/// Rows per join task: enough tasks for ParallelFor's dynamic chunks to
+/// balance the pool (and the radius join's triangular rows), few enough
+/// that each task's BatchTopK amortizes its code-block reads over many
+/// queries.
+int RowBlock(int n, int threads) {
+  return std::max(1, (n + threads * 8 - 1) / (threads * 8));
+}
+
+/// Adds the per-task pair counts and the wall time to `stats`, and the
+/// counts to the metrics registry (join.tiles counts row-block tasks).
+void FinishStats(const std::vector<ScanPairCounts>& per_task,
+                 const Stopwatch& watch, SelfJoinStats* stats) {
+  stats->tiles = static_cast<int64_t>(per_task.size());
+  for (const ScanPairCounts& task : per_task) {
+    stats->pairs_pruned += task.pruned;
+    stats->pairs_scored += task.scored;
+  }
   obs::KernelCounters counters;
-  counters.join_tiles = totals.tiles.load(std::memory_order_relaxed);
-  counters.join_pairs_pruned = totals.pruned.load(std::memory_order_relaxed);
-  counters.join_pairs_scored = totals.scored.load(std::memory_order_relaxed);
+  counters.join_tiles = stats->tiles;
+  counters.join_pairs_pruned = stats->pairs_pruned;
+  counters.join_pairs_scored = stats->pairs_scored;
   counters.Flush();
+  stats->seconds = watch.ElapsedSeconds();
 }
 
-/// All (I, J) tile pairs with I <= J, diagonals first: the diagonal task
-/// is what fills a tile's heaps (arming every later threshold), so it
-/// must not queue behind off-diagonal work that cannot prune yet.
-std::vector<std::pair<int, int>> TilePairsDiagonalFirst(int num_tiles) {
-  std::vector<std::pair<int, int>> pairs;
-  pairs.reserve(static_cast<size_t>(num_tiles) *
-                static_cast<size_t>(num_tiles + 1) / 2);
-  for (int t = 0; t < num_tiles; ++t) pairs.emplace_back(t, t);
-  for (int i = 0; i < num_tiles; ++i) {
-    for (int j = i + 1; j < num_tiles; ++j) pairs.emplace_back(i, j);
-  }
-  return pairs;
-}
-
-// ------------------------------------------------------------- TopKJoin
-
-/// Offers one candidate to a bounded max-heap under the full
-/// (distance, id) order. Unlike the serving scan's strict-distance rule
-/// (safe there because ids only ascend), the join's mirrored candidates
-/// arrive out of id order, so an equal-distance smaller id must displace
-/// the front. Keeping the exact k-smallest set makes the final sorted
-/// list independent of arrival order — the byte-identity argument.
-/// Updates *front_cache (INT32_MAX while the heap is filling).
-void OfferNeighbor(std::vector<Neighbor>* heap, int k, Neighbor candidate,
-                   int32_t* front_cache) {
-  auto cmp = [](const Neighbor& a, const Neighbor& b) {
-    return NeighborLess(a, b);
-  };
-  if (static_cast<int>(heap->size()) < k) {
-    heap->push_back(candidate);
-    std::push_heap(heap->begin(), heap->end(), cmp);
-  } else if (NeighborLess(candidate, heap->front())) {
-    std::pop_heap(heap->begin(), heap->end(), cmp);
-    heap->back() = candidate;
-    std::push_heap(heap->begin(), heap->end(), cmp);
-  } else {
-    return;
-  }
-  if (static_cast<int>(heap->size()) == k) {
-    *front_cache = heap->front().distance;
-  }
-}
-
-/// Shared mutable state of one TopKJoin call. Heap i and fronts[i] are
-/// owned by row i's tile: mutated only under tile_mu[i / tile]. Reads
-/// from other tasks go through the same lock and are used only as
-/// conservative (stale = larger) pruning bounds.
-struct TopKState {
-  int k = 0;
-  std::vector<std::vector<Neighbor>> heaps;
-  std::vector<int32_t> fronts;  // INT32_MAX until heap i holds k entries
-  /// Plain std::mutex by design: a call-local stripe array (one lock
-  /// per tile, sized at runtime), never held two at a time and never
-  /// nested with any named lock in the serving hierarchy — the same
-  /// exemption ParallelFor's completion latch gets.
-  std::vector<std::mutex> tile_mu;
-
-  TopKState(const TileMap& tiles, int k_eff)
-      : k(k_eff),
-        heaps(static_cast<size_t>(tiles.n)),
-        fronts(static_cast<size_t>(tiles.n), INT32_MAX),
-        tile_mu(static_cast<size_t>(std::max(1, tiles.num_tiles))) {
-    for (int i = 0; i < tiles.n; ++i) {
-      if (tiles.IsLive(i)) {
-        heaps[static_cast<size_t>(i)].reserve(static_cast<size_t>(k));
-      }
-    }
-  }
-};
-
-/// One staged heap update: candidate `nb` for row `row`.
-struct StagedOffer {
-  int row;
-  Neighbor nb;
-};
-
-void ApplyOffers(TopKState* state, int tile_index,
-                 std::vector<StagedOffer>* offers) {
-  if (offers->empty()) return;
-  std::lock_guard<std::mutex> lock(
-      state->tile_mu[static_cast<size_t>(tile_index)]);
-  for (const StagedOffer& offer : *offers) {
-    OfferNeighbor(&state->heaps[static_cast<size_t>(offer.row)], state->k,
-                  offer.nb, &state->fronts[static_cast<size_t>(offer.row)]);
-  }
-  offers->clear();
-}
-
-/// Diagonal tile task: rows [t0, t1) against each other, each unordered
-/// pair once (row i scans the contiguous run [i+1, t1)). The task owns
-/// every heap it touches, so offers apply directly against live fronts.
-///
-/// Pruning is decided at kDistChunk granularity against *per-chunk*
-/// front maxima, not one tile-wide maximum: a single unlucky row with a
-/// weak (large) front would otherwise disarm the chunk skip for the
-/// whole tile. Chunk maxima are cached and recomputed lazily when an
-/// offer shrinks a front inside the chunk; stale (larger) values are
-/// conservative — they prune less, never wrongly.
-void TopKDiagonalTile(const PackedCodes& codes, const TileMap& tiles,
-                      BatchDistanceFn kernel, BatchDistanceMinFn fused_kernel,
-                      bool fused, int t, TopKState* state,
-                      TaskCounters* counters) {
-  const int t0 = tiles.TileBegin(t);
-  const int t1 = tiles.TileEnd(t);
-  const int words = codes.words_per_code();
-  std::lock_guard<std::mutex> lock(state->tile_mu[static_cast<size_t>(t)]);
-
-  // Per-chunk max of live fronts over tile-local row chunks
-  // [t0 + c*kDistChunk, ...), lazily refreshed via the dirty flags.
-  const int nchunks = (t1 - t0 + kDistChunk - 1) / kDistChunk;
-  std::vector<int32_t> chunk_max(static_cast<size_t>(nchunks), INT32_MAX);
-  std::vector<char> dirty(static_cast<size_t>(nchunks), 1);
-  auto chunk_front_max = [&](int c) {
-    if (dirty[static_cast<size_t>(c)]) {
-      const int lo = t0 + c * kDistChunk;
-      const int hi = std::min(lo + kDistChunk, t1);
-      int32_t m = INT32_MIN;
-      for (int j = lo; j < hi; ++j) {
-        if (tiles.IsLive(j)) {
-          m = std::max(m, state->fronts[static_cast<size_t>(j)]);
-        }
-      }
-      chunk_max[static_cast<size_t>(c)] = m;
-      dirty[static_cast<size_t>(c)] = 0;
-    }
-    return chunk_max[static_cast<size_t>(c)];
-  };
-
-  std::vector<int32_t> dist(static_cast<size_t>(t1 - t0));
-  for (int i = t0; i < t1 - 1; ++i) {
-    if (!tiles.IsLive(i)) continue;
-    const int count = t1 - i - 1;
-    const int live_ahead = tiles.LiveIn(i + 1, t1);
-    if (live_ahead == 0) break;  // no live candidate after i in this tile
-    // Kernel-call threshold: a pair may be disposed early only if it can
-    // enter *neither* endpoint's heap, so the call-wide bound is the max
-    // front over row i and every chunk ahead of it, plus one for the id
-    // tie-break. (The chunk containing i may include fronts of rows
-    // behind i — a larger, still-conservative bound.)
-    const int first_chunk = (i + 1 - t0) / kDistChunk;
-    int32_t max_front = state->fronts[static_cast<size_t>(i)];
-    for (int c = first_chunk; c < nchunks && max_front != INT32_MAX; ++c) {
-      max_front = std::max(max_front, chunk_front_max(c));
-    }
-    const int32_t threshold =
-        max_front == INT32_MAX ? kNoThreshold : PlusOne(max_front);
-    int32_t block_min;
-    if (fused) {
-      block_min = fused_kernel(codes.code(i), codes.code(i + 1), count, words,
-                               threshold, dist.data());
-    } else {
-      kernel(codes.code(i), codes.code(i + 1), count, words, threshold,
-             dist.data());
-      block_min = ChunkMin(dist.data(), 0, count);
-    }
-    if (threshold != kNoThreshold && block_min >= threshold) {
-      counters->pruned += live_ahead;
-      continue;
-    }
-    // Chunk walk aligned to the *tile's* chunk grid (row i + 1 usually
-    // starts mid-chunk), so each dist range maps to one cached chunk
-    // maximum. Fronts only shrink during the walk, so every T_c here is
-    // <= the kernel-call threshold and distances below it are exact.
-    int j = i + 1;
-    while (j < t1) {
-      const int c = (j - t0) / kDistChunk;
-      const int chunk_end = std::min(t0 + (c + 1) * kDistChunk, t1);
-      const int lo = j - (i + 1);
-      const int hi = chunk_end - (i + 1);
-      const int live_chunk = tiles.LiveIn(j, chunk_end);
-      if (live_chunk == 0) {
-        j = chunk_end;
-        continue;
-      }
-      const int32_t front_i = state->fronts[static_cast<size_t>(i)];
-      const int32_t cmax = std::max(front_i, chunk_front_max(c));
-      const int32_t tc =
-          cmax == INT32_MAX ? kNoThreshold : PlusOne(cmax);
-      if (tc != kNoThreshold && ChunkMin(dist.data(), lo, hi) >= tc) {
-        counters->pruned += live_chunk;
-        j = chunk_end;
-        continue;
-      }
-      counters->scored += live_chunk;
-      const bool all_live = live_chunk == chunk_end - j;
-      for (int jj = j; jj < chunk_end; ++jj) {
-        if (!all_live && !tiles.IsLive(jj)) continue;
-        const int32_t d = dist[static_cast<size_t>(jj - (i + 1))];
-        if (d >= tc) continue;  // exact only below the threshold
-        OfferNeighbor(&state->heaps[static_cast<size_t>(i)], state->k,
-                      {jj, d}, &state->fronts[static_cast<size_t>(i)]);
-        OfferNeighbor(&state->heaps[static_cast<size_t>(jj)], state->k,
-                      {i, d}, &state->fronts[static_cast<size_t>(jj)]);
-        dirty[static_cast<size_t>(c)] = 1;
-      }
-      j = chunk_end;
-    }
-    // Row i's own front shrank during its scan; refresh its chunk.
-    dirty[static_cast<size_t>((i - t0) / kDistChunk)] = 1;
-  }
-}
-
-/// Off-diagonal tile task (ti < tj): every row of tile ti scans tile
-/// tj's contiguous codes once; each distance is offered to the query row
-/// (tile ti side) and mirrored to the candidate row (tile tj side).
-/// Front snapshots are taken under the owning tiles' locks; staleness is
-/// conservative because fronts only shrink.
-void TopKOffDiagonalTile(const PackedCodes& codes, const TileMap& tiles,
-                         BatchDistanceFn kernel,
-                         BatchDistanceMinFn fused_kernel, bool fused, int ti,
-                         int tj, TopKState* state, TaskCounters* counters) {
-  const int i0 = tiles.TileBegin(ti), i1 = tiles.TileEnd(ti);
-  const int j0 = tiles.TileBegin(tj), j1 = tiles.TileEnd(tj);
-  const int count = j1 - j0;
-  const int live_j = tiles.LiveIn(j0, j1);
-  if (live_j == 0 || tiles.LiveIn(i0, i1) == 0) return;
-  const int words = codes.words_per_code();
-
-  std::vector<int32_t> fronts_i(static_cast<size_t>(i1 - i0));
-  std::vector<int32_t> fronts_j(static_cast<size_t>(count));
-  {
-    std::lock_guard<std::mutex> lock(
-        state->tile_mu[static_cast<size_t>(ti)]);
-    std::copy(state->fronts.begin() + i0, state->fronts.begin() + i1,
-              fronts_i.begin());
-  }
-  {
-    std::lock_guard<std::mutex> lock(
-        state->tile_mu[static_cast<size_t>(tj)]);
-    std::copy(state->fronts.begin() + j0, state->fronts.begin() + j1,
-              fronts_j.begin());
-  }
-  // Per-chunk max of live mirror fronts (the dist buffer's chunk grid
-  // aligns with tile tj's rows): chunk-granular thresholds keep the
-  // chunk skip tight even when one row of the tile has a weak front.
-  const int nchunks = (count + kDistChunk - 1) / kDistChunk;
-  std::vector<int32_t> chunk_max(static_cast<size_t>(nchunks), INT32_MIN);
-  int32_t max_front_j = INT32_MIN;
-  for (int j = j0; j < j1; ++j) {
-    if (tiles.IsLive(j)) {
-      const int c = (j - j0) / kDistChunk;
-      chunk_max[static_cast<size_t>(c)] =
-          std::max(chunk_max[static_cast<size_t>(c)],
-                   fronts_j[static_cast<size_t>(j - j0)]);
-    }
-  }
-  for (const int32_t m : chunk_max) max_front_j = std::max(max_front_j, m);
-
-  std::vector<int32_t> dist(static_cast<size_t>(count));
-  std::vector<StagedOffer> query_side, mirror_side;
-  for (int i = i0; i < i1; ++i) {
-    if (!tiles.IsLive(i)) continue;
-    const int32_t front_i = fronts_i[static_cast<size_t>(i - i0)];
-    const int32_t max_front = std::max(front_i, max_front_j);
-    const int32_t threshold =
-        max_front == INT32_MAX ? kNoThreshold : PlusOne(max_front);
-    int32_t block_min;
-    if (fused) {
-      block_min = fused_kernel(codes.code(i), codes.code(j0), count, words,
-                               threshold, dist.data());
-    } else {
-      kernel(codes.code(i), codes.code(j0), count, words, threshold,
-             dist.data());
-      block_min = ChunkMin(dist.data(), 0, count);
-    }
-    if (threshold != kNoThreshold && block_min >= threshold) {
-      counters->pruned += live_j;
-      continue;
-    }
-    for (int c0 = 0; c0 < count; c0 += kDistChunk) {
-      const int c1 = std::min(c0 + kDistChunk, count);
-      const int live_chunk = tiles.LiveIn(j0 + c0, j0 + c1);
-      if (live_chunk == 0) continue;
-      // Chunk threshold: only row i and this chunk's mirror rows can
-      // accept a pair from this range.
-      const int32_t cmax =
-          std::max(front_i, chunk_max[static_cast<size_t>(c0 / kDistChunk)]);
-      const int32_t tc = cmax == INT32_MAX ? kNoThreshold : PlusOne(cmax);
-      if (tc != kNoThreshold && ChunkMin(dist.data(), c0, c1) >= tc) {
-        counters->pruned += live_chunk;
-        continue;
-      }
-      counters->scored += live_chunk;
-      const bool all_live = live_chunk == c1 - c0;
-      for (int c = c0; c < c1; ++c) {
-        const int j = j0 + c;
-        if (!all_live && !tiles.IsLive(j)) continue;
-        const int32_t d = dist[static_cast<size_t>(c)];
-        if (d >= tc) continue;  // exact only below the threshold
-        // Stage only candidates the snapshot fronts cannot already rule
-        // out (<= keeps equal-distance ties — the id tie-break is decided
-        // by the live heap under the lock).
-        if (d <= front_i) query_side.push_back({i, {j, d}});
-        if (d <= fronts_j[static_cast<size_t>(c)]) {
-          mirror_side.push_back({j, {i, d}});
-        }
-      }
-    }
-    if (query_side.size() + mirror_side.size() >= kFlushCandidates) {
-      ApplyOffers(state, ti, &query_side);
-      ApplyOffers(state, tj, &mirror_side);
-    }
-  }
-  ApplyOffers(state, ti, &query_side);
-  ApplyOffers(state, tj, &mirror_side);
-}
-
-// ----------------------------------------------------------- RadiusJoin
-
-/// One tile-pair task of a radius join: emits every qualifying live pair
-/// of the (ti, tj) tile rectangle (diagonal tiles scan the strict upper
-/// triangle) into `out`, in (a, b) order within the task.
-void RadiusTileTask(const PackedCodes& codes, const TileMap& tiles,
-                    BatchDistanceFn kernel, BatchDistanceMinFn fused_kernel,
-                    bool fused, int radius, int ti, int tj,
-                    std::vector<JoinPair>* out, TaskCounters* counters) {
-  const int i0 = tiles.TileBegin(ti), i1 = tiles.TileEnd(ti);
-  const int j0 = tiles.TileBegin(tj), j1 = tiles.TileEnd(tj);
-  if (tiles.LiveIn(i0, i1) == 0 || tiles.LiveIn(j0, j1) == 0) return;
-  const int words = codes.words_per_code();
-  const int32_t threshold = PlusOne(radius);
-  std::vector<int32_t> dist(static_cast<size_t>(j1 - j0));
-  for (int i = i0; i < i1; ++i) {
-    if (!tiles.IsLive(i)) continue;
-    const int start = ti == tj ? i + 1 : j0;  // each unordered pair once
-    const int count = j1 - start;
-    if (count <= 0) continue;
-    const int live_range = tiles.LiveIn(start, j1);
-    if (live_range == 0) continue;
-    int32_t block_min;
-    if (fused) {
-      block_min = fused_kernel(codes.code(i), codes.code(start), count, words,
-                               threshold, dist.data());
-    } else {
-      kernel(codes.code(i), codes.code(start), count, words, threshold,
-             dist.data());
-      block_min = ChunkMin(dist.data(), 0, count);
-    }
-    if (block_min > radius) {
-      counters->pruned += live_range;
-      continue;
-    }
-    for (int c0 = 0; c0 < count; c0 += kDistChunk) {
-      const int c1 = std::min(c0 + kDistChunk, count);
-      const int live_chunk = tiles.LiveIn(start + c0, start + c1);
-      if (live_chunk == 0) continue;
-      if (ChunkMin(dist.data(), c0, c1) > radius) {
-        counters->pruned += live_chunk;
-        continue;
-      }
-      counters->scored += live_chunk;
-      const bool all_live = live_chunk == c1 - c0;
-      for (int c = c0; c < c1; ++c) {
-        const int j = start + c;
-        if (!all_live && !tiles.IsLive(j)) continue;
-        const int32_t d = dist[static_cast<size_t>(c)];
-        if (d <= radius) out->push_back({i, j, d});
-      }
-    }
-  }
+BatchScanOptions ScanOptions(const SelfJoinOptions& options,
+                             const TombstoneSet* dead) {
+  BatchScanOptions scan;
+  scan.code_block = options.tile;
+  scan.force_tier = options.force_tier;
+  scan.tier = options.tier;
+  scan.fused_min = options.fused_min;
+  scan.tombstones = dead;
+  return scan;
 }
 
 }  // namespace
@@ -484,73 +74,50 @@ std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
                                             const SelfJoinOptions& options,
                                             SelfJoinStats* stats) {
   Stopwatch watch;
-  const TileMap tiles(codes, options);
-  const int live = tiles.live();
+  const int n = codes.size();
+  const TombstoneSet* dead = options.tombstones;
+  const int live = n - (dead != nullptr ? dead->dead_count() : 0);
   SelfJoinStats local;
-  local.pairs_total =
-      static_cast<int64_t>(live) * (live - 1) / 2;
-  std::vector<std::vector<Neighbor>> results(
-      static_cast<size_t>(std::max(0, tiles.n)));
-  // Self excluded, so a live row has at most live-1 neighbors; clamping
-  // (like the batched scan clamps to the live count) lets heaps actually
-  // fill, arming the pruning thresholds.
+  // Every live query scans every live row, itself included.
+  local.pairs_total = static_cast<int64_t>(live) * live;
+  std::vector<std::vector<Neighbor>> results(static_cast<size_t>(n));
+  // Self excluded, so a live row has at most live-1 neighbors.
   k = std::min(k, live - 1);
-  if (k <= 0 || tiles.n <= 0) {
-    if (stats != nullptr) {
-      local.seconds = watch.ElapsedSeconds();
-      *stats = local;
-    }
-    return results;
-  }
-
-  const BatchDistanceFn kernel = options.force_tier
-                                     ? GetBatchDistanceFn(options.tier)
-                                     : GetBatchDistanceFn();
-  const BatchDistanceMinFn fused_kernel =
-      options.force_tier ? GetBatchDistanceMinFn(options.tier)
-                         : GetBatchDistanceMinFn();
-
-  TopKState state(tiles, k);
-  JoinTotals totals;
-  ThreadPool pool(options.threads);
-  {
+  std::vector<ScanPairCounts> per_task;
+  if (k > 0) {
+    const BatchScanOptions scan = ScanOptions(options, dead);
+    ThreadPool pool(options.threads);
+    const int rows = RowBlock(n, pool.num_threads());
+    per_task.resize(static_cast<size_t>((n + rows - 1) / rows));
     StageTimer timer("stage.join_scan_ns");
-    // Diagonal tiles first, as their own parallel phase: they fill every
-    // row's heap (a tile holds up to `tile` rows, usually >> k), so by
-    // the time the off-diagonal rectangles run, the pruning thresholds
-    // are armed corpus-wide.
-    pool.ParallelFor(tiles.num_tiles, [&](int t) {
-      TaskCounters counters;
-      TopKDiagonalTile(codes, tiles, kernel, fused_kernel, options.fused_min,
-                       t, &state, &counters);
-      totals.Absorb(counters);
-    });
-    const std::vector<std::pair<int, int>> pairs =
-        TilePairsDiagonalFirst(tiles.num_tiles);
-    const int num_off = static_cast<int>(pairs.size()) - tiles.num_tiles;
-    pool.ParallelFor(num_off, [&](int task) {
-      const auto [ti, tj] =
-          pairs[static_cast<size_t>(tiles.num_tiles + task)];
-      TaskCounters counters;
-      TopKOffDiagonalTile(codes, tiles, kernel, fused_kernel,
-                          options.fused_min, ti, tj, &state, &counters);
-      totals.Absorb(counters);
+    pool.ParallelFor(static_cast<int>(per_task.size()), [&](int task) {
+      std::vector<int> ids;
+      std::vector<const uint64_t*> queries;
+      for (int i = task * rows; i < std::min(n, (task + 1) * rows); ++i) {
+        if (dead != nullptr && dead->Test(i)) continue;
+        ids.push_back(i);
+        queries.push_back(codes.code(i));
+      }
+      // top-k(S \ {i}) is a subset of top-(k+1)(S) under the (distance,
+      // id) order, so dropping row i from its own list (or, when k+1
+      // rows tie ahead of it, the surplus last entry) leaves exactly
+      // row i's k nearest other rows.
+      std::vector<std::vector<Neighbor>> lists =
+          BatchTopK(codes, queries.data(), static_cast<int>(queries.size()),
+                    k + 1, scan, &per_task[static_cast<size_t>(task)]);
+      for (size_t q = 0; q < ids.size(); ++q) {
+        std::vector<Neighbor>& list = lists[q];
+        const int i = ids[q];
+        const auto self = std::find_if(
+            list.begin(), list.end(),
+            [i](const Neighbor& nb) { return nb.id == i; });
+        if (self != list.end()) list.erase(self);
+        list.resize(static_cast<size_t>(k));
+        results[static_cast<size_t>(i)] = std::move(list);
+      }
     });
   }
-  {
-    StageTimer timer("stage.join_merge_ns");
-    auto cmp = [](const Neighbor& a, const Neighbor& b) {
-      return NeighborLess(a, b);
-    };
-    for (auto& heap : state.heaps) std::sort_heap(heap.begin(), heap.end(), cmp);
-    results = std::move(state.heaps);
-  }
-
-  FlushJoinCounters(totals);
-  local.tiles = totals.tiles.load(std::memory_order_relaxed);
-  local.pairs_pruned = totals.pruned.load(std::memory_order_relaxed);
-  local.pairs_scored = totals.scored.load(std::memory_order_relaxed);
-  local.seconds = watch.ElapsedSeconds();
+  FinishStats(per_task, watch, &local);
   if (stats != nullptr) *stats = local;
   return results;
 }
@@ -559,150 +126,115 @@ std::vector<JoinPair> RadiusJoin(const PackedCodes& codes, int radius,
                                  const SelfJoinOptions& options,
                                  SelfJoinStats* stats) {
   Stopwatch watch;
-  const TileMap tiles(codes, options);
-  const int live = tiles.live();
+  const int n = codes.size();
+  const TombstoneSet* dead = options.tombstones;
+  const int live = n - (dead != nullptr ? dead->dead_count() : 0);
   SelfJoinStats local;
+  // Row i is paired only with the rows after it.
   local.pairs_total = static_cast<int64_t>(live) * (live - 1) / 2;
   std::vector<JoinPair> result;
-  if (radius < 0 || live < 2) {
-    if (stats != nullptr) {
-      local.seconds = watch.ElapsedSeconds();
-      *stats = local;
+  std::vector<ScanPairCounts> per_task;
+  if (radius >= 0 && live >= 2) {
+    const BatchScanOptions scan_options = ScanOptions(options, dead);
+    // Distances below the threshold are exact, and d < radius + 1 is
+    // d <= radius (saturating: a radius past every distance keeps all).
+    const int32_t threshold =
+        radius >= kNoThreshold - 1 ? kNoThreshold : radius + 1;
+    ThreadPool pool(options.threads);
+    const int rows = RowBlock(n, pool.num_threads());
+    per_task.resize(static_cast<size_t>((n + rows - 1) / rows));
+    std::vector<std::vector<JoinPair>> per_task_pairs(per_task.size());
+    {
+      StageTimer timer("stage.join_scan_ns");
+      pool.ParallelFor(static_cast<int>(per_task.size()), [&](int task) {
+        SubChunkScan scan(scan_options);
+        std::vector<JoinPair>& out = per_task_pairs[static_cast<size_t>(task)];
+        for (int i = task * rows; i < std::min(n, (task + 1) * rows); ++i) {
+          if (dead != nullptr && dead->Test(i)) continue;
+          scan.Run(codes, codes.code(i), i + 1, n,
+                   [threshold] { return threshold; },
+                   [&out, i](int j, int32_t d) { out.push_back({i, j, d}); });
+        }
+        per_task[static_cast<size_t>(task)] = scan.pairs;
+      });
     }
-    return result;
-  }
-
-  const BatchDistanceFn kernel = options.force_tier
-                                     ? GetBatchDistanceFn(options.tier)
-                                     : GetBatchDistanceFn();
-  const BatchDistanceMinFn fused_kernel =
-      options.force_tier ? GetBatchDistanceMinFn(options.tier)
-                         : GetBatchDistanceMinFn();
-
-  const std::vector<std::pair<int, int>> pairs =
-      TilePairsDiagonalFirst(tiles.num_tiles);
-  std::vector<std::vector<JoinPair>> per_task(pairs.size());
-  JoinTotals totals;
-  ThreadPool pool(options.threads);
-  {
-    StageTimer timer("stage.join_scan_ns");
-    pool.ParallelFor(static_cast<int>(pairs.size()), [&](int task) {
-      const auto [ti, tj] = pairs[static_cast<size_t>(task)];
-      TaskCounters counters;
-      RadiusTileTask(codes, tiles, kernel, fused_kernel, options.fused_min,
-                     radius, ti, tj, &per_task[static_cast<size_t>(task)],
-                     &counters);
-      totals.Absorb(counters);
-    });
-  }
-  {
     StageTimer timer("stage.join_merge_ns");
+    // Tasks cover ascending row ranges and emit (a, b) in order, so the
+    // concatenation is already sorted.
     size_t total = 0;
-    for (const auto& chunk : per_task) total += chunk.size();
+    for (const auto& chunk : per_task_pairs) total += chunk.size();
     result.reserve(total);
-    for (auto& chunk : per_task) {
+    for (const auto& chunk : per_task_pairs) {
       result.insert(result.end(), chunk.begin(), chunk.end());
     }
-    // Tasks emit (a, b)-sorted chunks; one global sort makes the output
-    // canonical regardless of tile size or scheduling.
-    std::sort(result.begin(), result.end(), JoinPairLess);
   }
-
-  FlushJoinCounters(totals);
-  local.tiles = totals.tiles.load(std::memory_order_relaxed);
-  local.pairs_pruned = totals.pruned.load(std::memory_order_relaxed);
-  local.pairs_scored = totals.scored.load(std::memory_order_relaxed);
-  local.seconds = watch.ElapsedSeconds();
+  FinishStats(per_task, watch, &local);
   if (stats != nullptr) *stats = local;
   return result;
 }
 
 // ------------------------------------------------------------ reducers
 
-namespace {
-
-/// Deterministic union-find over sparse row ids (path halving + union by
-/// smaller root, so every component's root is its smallest member).
-class UnionFind {
- public:
-  int Find(int x) {
-    auto [it, inserted] = parent_.try_emplace(x, x);
-    int root = x;
-    while (parent_[root] != root) root = parent_[root];
-    while (parent_[x] != root) {
-      const int next = parent_[x];
-      parent_[x] = root;
-      x = next;
-    }
-    (void)it;
-    (void)inserted;
-    return root;
-  }
-
-  void Union(int a, int b) {
-    const int ra = Find(a), rb = Find(b);
-    if (ra == rb) return;
-    // Smaller id wins the root, so the representative of a finished
-    // component is always its smallest member.
-    if (ra < rb) {
-      parent_[rb] = ra;
-    } else {
-      parent_[ra] = rb;
-    }
-  }
-
-  const std::map<int, int>& nodes() const { return parent_; }
-
- private:
-  std::map<int, int> parent_;
-};
-
-}  // namespace
-
 DedupGroupsResult ReducePairsToGroups(const std::vector<JoinPair>& pairs,
                                       DedupLink link) {
   DedupGroupsResult result;
-  // Best within-radius match per participating row, under the canonical
+  int rows = 0;
+  for (const JoinPair& pair : pairs) {
+    rows = std::max(rows, std::max(pair.a, pair.b) + 1);
+  }
+  // Best within-radius match per row (id -1 = none), under the canonical
   // (distance, id) order. Whenever a row's global nearest neighbor is
   // within the radius, this equals it (the global best is the minimum).
-  std::map<int, Neighbor> best;
+  std::vector<Neighbor> best(static_cast<size_t>(rows), Neighbor{-1, 0});
   auto offer = [&best](int row, Neighbor nb) {
-    auto [it, inserted] = best.try_emplace(row, nb);
-    if (!inserted && NeighborLess(nb, it->second)) it->second = nb;
+    Neighbor& slot = best[static_cast<size_t>(row)];
+    if (slot.id < 0 || NeighborLess(nb, slot)) slot = nb;
   };
   for (const JoinPair& pair : pairs) {
     offer(pair.a, {pair.b, pair.distance});
     offer(pair.b, {pair.a, pair.distance});
   }
   for (const JoinPair& pair : pairs) {
-    const auto a = best.find(pair.a);
-    const auto b = best.find(pair.b);
-    if (a->second.id == pair.b && b->second.id == pair.a) {
+    if (best[static_cast<size_t>(pair.a)].id == pair.b &&
+        best[static_cast<size_t>(pair.b)].id == pair.a) {
       result.reciprocal_pairs.push_back(pair);  // pairs is (a, b)-sorted
     }
   }
 
-  UnionFind uf;
-  if (link == DedupLink::kRadius) {
-    for (const JoinPair& pair : pairs) uf.Union(pair.a, pair.b);
-  } else {
-    for (const JoinPair& pair : result.reciprocal_pairs) {
-      uf.Union(pair.a, pair.b);
+  // Union-find with path halving; the smaller root wins every union, so
+  // a component's root is its smallest member.
+  std::vector<int> parent(static_cast<size_t>(rows));
+  for (int i = 0; i < rows; ++i) parent[static_cast<size_t>(i)] = i;
+  auto find = [&parent](int x) {
+    while (parent[static_cast<size_t>(x)] != x) {
+      int& up = parent[static_cast<size_t>(x)];
+      up = parent[static_cast<size_t>(up)];
+      x = up;
     }
+    return x;
+  };
+  const std::vector<JoinPair>& edges =
+      link == DedupLink::kRadius ? pairs : result.reciprocal_pairs;
+  for (const JoinPair& pair : edges) {
+    const int ra = find(pair.a), rb = find(pair.b);
+    parent[static_cast<size_t>(std::max(ra, rb))] = std::min(ra, rb);
   }
-  std::map<int, std::vector<int>> components;
-  for (const auto& [row, unused] : uf.nodes()) {
-    (void)unused;
-    components[uf.Find(row)].push_back(row);
+  std::vector<int> size(static_cast<size_t>(rows), 0);
+  for (int i = 0; i < rows; ++i) ++size[static_cast<size_t>(find(i))];
+  // Ascending rows meet each root first (it is the smallest member), so
+  // groups come out sorted by first member with members ascending.
+  std::vector<int> group_of(static_cast<size_t>(rows), -1);
+  for (int i = 0; i < rows; ++i) {
+    const int root = find(i);
+    if (size[static_cast<size_t>(root)] < 2) continue;
+    int& g = group_of[static_cast<size_t>(root)];
+    if (g < 0) {
+      g = static_cast<int>(result.groups.size());
+      result.groups.emplace_back();
+    }
+    result.groups[static_cast<size_t>(g)].push_back(i);
+    ++result.rows_clustered;
   }
-  for (auto& [root, members] : components) {
-    (void)root;
-    if (members.size() < 2) continue;  // isolated Find() artifacts
-    std::sort(members.begin(), members.end());
-    result.rows_clustered += static_cast<int64_t>(members.size());
-    result.groups.push_back(std::move(members));
-  }
-  // std::map iteration gives groups sorted by root == smallest member.
   return result;
 }
 
@@ -732,21 +264,31 @@ std::vector<std::vector<Neighbor>> ReferenceTopKJoin(
   std::vector<std::vector<Neighbor>> results(static_cast<size_t>(n));
   k = std::min(k, live_count - 1);
   if (k <= 0) return results;
-  std::vector<int32_t> fronts(static_cast<size_t>(n), INT32_MAX);
+  auto cmp = [](const Neighbor& a, const Neighbor& b) {
+    return NeighborLess(a, b);
+  };
+  // Bounded max-heap under the full (distance, id) order: the mirrored
+  // offer to row j arrives out of id order, so an equal-distance smaller
+  // id must displace the worst kept entry.
+  auto offer = [k, &cmp](std::vector<Neighbor>* heap, Neighbor nb) {
+    if (static_cast<int>(heap->size()) < k) {
+      heap->push_back(nb);
+      std::push_heap(heap->begin(), heap->end(), cmp);
+    } else if (NeighborLess(nb, heap->front())) {
+      std::pop_heap(heap->begin(), heap->end(), cmp);
+      heap->back() = nb;
+      std::push_heap(heap->begin(), heap->end(), cmp);
+    }
+  };
   for (int i = 0; i < n; ++i) {
     if (!live(i)) continue;
     for (int j = i + 1; j < n; ++j) {
       if (!live(j)) continue;
       const int d = HammingDistance(codes.code(i), codes.code(j), words);
-      OfferNeighbor(&results[static_cast<size_t>(i)], k, {j, d},
-                    &fronts[static_cast<size_t>(i)]);
-      OfferNeighbor(&results[static_cast<size_t>(j)], k, {i, d},
-                    &fronts[static_cast<size_t>(j)]);
+      offer(&results[static_cast<size_t>(i)], {j, d});
+      offer(&results[static_cast<size_t>(j)], {i, d});
     }
   }
-  auto cmp = [](const Neighbor& a, const Neighbor& b) {
-    return NeighborLess(a, b);
-  };
   for (auto& heap : results) std::sort_heap(heap.begin(), heap.end(), cmp);
   return results;
 }

@@ -11,34 +11,34 @@
 
 namespace uhscm::index {
 
-/// \brief Tiled corpus x corpus self-join over packed codes.
+/// \brief Corpus x corpus self-join over packed codes.
 ///
 /// The offline-analytics counterpart of the serving scan: every row is
 /// simultaneously query and corpus. Instead of the branchy O(n^2)
-/// per-pair loop (the mostsimilar shape), the corpus is walked as an
-/// upper triangle of row tiles — each unordered pair of rows lands in
-/// exactly one tile pair, is scored once by the fused batched kernels
-/// (hamming_kernels.h), and credits both rows' reducers. Tile pairs run
-/// on a ThreadPool; results are nevertheless byte-identical to the naive
+/// per-pair loop (the mostsimilar shape), the rows are cut into row
+/// blocks that run as independent ThreadPool tasks, and each row scans
+/// the corpus with the serving scan's SubChunkScan (batch_scan.h): one
+/// fused kernel call per sub-chunk, skipped whole when its minimum cannot
+/// beat the row's live bound. Every row owns its result, so tasks share
+/// no mutable state, and results are byte-identical to the naive
 /// per-pair reference (ReferenceTopKJoin / ReferenceRadiusJoin below),
-/// including tie handling and tombstoned rows, because every reducer
-/// keeps the exact k-smallest (distance, id) set, which is unique
-/// regardless of the order candidates arrive in.
+/// including tie handling and tombstoned rows.
 struct SelfJoinOptions {
-  /// Rows per tile; 0 picks a size that keeps one tile of packed codes
-  /// (~64 KiB) cache-resident while it is scanned as the inner block —
-  /// the same sizing rule as the batched scan (PickCodeBlockSize).
+  /// Codes per cache block of TopKJoin's scan
+  /// (BatchScanOptions::code_block); 0 picks a size that keeps one block
+  /// of packed codes (~64 KiB) cache-resident (PickCodeBlockSize).
+  /// RadiusJoin scans each row's tail in one pass and ignores it.
   int tile = 0;
-  /// Worker threads for the tile-pair loop (0 = hardware concurrency).
+  /// Worker threads for the row-block tasks (0 = hardware concurrency).
   int threads = 0;
   /// Kernel tier override for benches and forced-tier CI runs; the
   /// default uses the process-wide dispatch decision. Unavailable tiers
   /// grade down like BatchScanOptions::force_tier.
   bool force_tier = false;
   KernelTier tier = KernelTier::kScalar;
-  /// Use the fused distance+block-min kernel for the tile skip decision;
-  /// `false` keeps the unfused two-pass walk for A/B benches. Results
-  /// are byte-identical either way.
+  /// Use the fused distance+min kernel for the sub-chunk skip decision
+  /// (BatchScanOptions::fused_min); `false` keeps the unfused two-pass
+  /// walk for A/B benches. Results are byte-identical either way.
   bool fused_min = true;
   /// Deletion bitmap over rows (null = all live). Tombstoned rows are
   /// excluded from the join entirely: they are never queries (their
@@ -47,14 +47,17 @@ struct SelfJoinOptions {
   const TombstoneSet* tombstones = nullptr;
 };
 
-/// Work accounting for one join call (also mirrored into the metrics
+/// Work accounting for one join call (also added to the metrics
 /// registry as join.tiles / join.pairs_pruned / join.pairs_scored when
-/// the observability layer is compiled in).
+/// the observability layer is compiled in). Pairs are ordered
+/// (query, candidate) live pairs the join scans: live x live for
+/// TopKJoin (a row's scan covers itself), live x (live - 1) / 2 for
+/// RadiusJoin (row i scans only rows after it).
 struct SelfJoinStats {
-  int64_t tiles = 0;         ///< tile-pair tasks executed
-  int64_t pairs_total = 0;   ///< unordered live pairs the join covers
-  int64_t pairs_pruned = 0;  ///< pairs disposed by tile/chunk min-skips
-  int64_t pairs_scored = 0;  ///< pairs that reached the per-pair branch
+  int64_t tiles = 0;         ///< row-block tasks executed
+  int64_t pairs_total = 0;   ///< live (query, candidate) pairs scanned
+  int64_t pairs_pruned = 0;  ///< pairs disposed by sub-chunk min-skips
+  int64_t pairs_scored = 0;  ///< pairs whose sub-chunk was walked
   double seconds = 0.0;      ///< wall time of the join
 };
 
@@ -63,7 +66,10 @@ struct SelfJoinStats {
 /// result[i] holds the k live rows j != i with the smallest
 /// (distance, id) keys, sorted by NeighborLess — exactly what
 /// LinearScanIndex::TopK would return for row i's code against a corpus
-/// with row i removed. k is clamped to live_rows - 1; tombstoned rows
+/// with row i removed. Each row block runs BatchTopK(k + 1) over the
+/// whole corpus; since top-k(S \ {i}) is a subset of top-(k+1)(S), row i
+/// is dropped from its own list (or, when k + 1 rows tie ahead of it,
+/// the list is cut to k). k is clamped to live_rows - 1; tombstoned rows
 /// get empty lists.
 std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
                                             const SelfJoinOptions& options = {},
@@ -88,10 +94,11 @@ inline bool JoinPairLess(const JoinPair& x, const JoinPair& y) {
 /// \brief All unordered live pairs within Hamming radius (inclusive).
 ///
 /// WithinRadius semantics lifted to the whole corpus: every {i, j} with
-/// i < j, both live, and d(i, j) <= radius, sorted by (a, b). The tile
-/// walk prunes non-qualifying tiles via the fused block minimum and
-/// non-qualifying kDistChunk-code chunks via the chunk-min skip, so a
-/// sparse join (small radius) runs at raw-kernel speed.
+/// i < j, both live, and d(i, j) <= radius, sorted by (a, b). Row i
+/// scans rows j > i at the radius + 1 threshold, skipping every
+/// kDistChunk sub-chunk whose minimum exceeds the radius, so a sparse
+/// join (small radius) runs at raw-kernel speed. Row blocks emit their
+/// pairs in (a, b) order, so the output is their concatenation.
 std::vector<JoinPair> RadiusJoin(const PackedCodes& codes, int radius,
                                  const SelfJoinOptions& options = {},
                                  SelfJoinStats* stats = nullptr);
@@ -153,7 +160,7 @@ DedupGroupsResult ReducePairsToGroups(const std::vector<JoinPair>& pairs,
 ///
 /// Each unordered live pair is scored once with the per-pair
 /// HammingDistance call and offered to both rows' bounded heaps
-/// ((distance, id) displacement). Output is byte-identical to the tiled
+/// ((distance, id) displacement). Output is byte-identical to the join
 /// engine by construction of both.
 std::vector<std::vector<Neighbor>> ReferenceTopKJoin(
     const PackedCodes& codes, int k, const TombstoneSet* tombstones = nullptr);

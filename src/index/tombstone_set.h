@@ -33,6 +33,9 @@ class TombstoneSet {
     return (words_[static_cast<size_t>(i >> 6)] >> (i & 63)) & 1ULL;
   }
 
+  /// Dead rows among [lo, hi). Precondition: hi <= size().
+  int CountDead(int lo, int hi) const;
+
   /// Marks row i dead. Returns false when it was already dead.
   bool Set(int i);
 
@@ -66,6 +69,19 @@ inline void TombstoneSet::Resize(int n) {
     size_ = n;
     words_.resize(static_cast<size_t>((n + 63) / 64), 0);
   }
+}
+
+inline int TombstoneSet::CountDead(int lo, int hi) const {
+  int count = 0;
+  while (lo < hi) {
+    const int word_end = (lo | 63) + 1;
+    const int end = word_end < hi ? word_end : hi;
+    uint64_t bits = words_[static_cast<size_t>(lo >> 6)] >> (lo & 63);
+    if (end - lo < 64) bits &= (1ULL << (end - lo)) - 1;
+    count += __builtin_popcountll(bits);
+    lo = end;
+  }
+  return count;
 }
 
 inline bool TombstoneSet::Set(int i) {

@@ -27,10 +27,10 @@ struct KernelCounters {
   int64_t early_abandon_calls = 0;
   int64_t mih_candidates_probed = 0;
   int64_t mih_candidates_verified = 0;
-  /// Self-join engine (src/index/self_join.h): tile-pair tasks executed,
-  /// unordered pairs disposed by tile/chunk min-skips, and pairs that
-  /// reached the per-pair branch. pruned + scored covers every live pair
-  /// of a join call exactly once.
+  /// Self-join engine (src/index/self_join.h): row-block tasks executed,
+  /// live (query, candidate) pairs disposed by sub-chunk min-skips, and
+  /// pairs whose sub-chunk was walked. pruned + scored covers every live
+  /// pair a join call scans exactly once.
   int64_t join_tiles = 0;
   int64_t join_pairs_pruned = 0;
   int64_t join_pairs_scored = 0;

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "index/batch_scan.h"
+#include "index/linear_scan.h"
 #include "index/packed_codes.h"
 #include "index/tombstone_set.h"
 #include "linalg/matrix.h"
@@ -59,18 +61,22 @@ PackedCodes PlantedDuplicates(int clusters, int copies, int extra, int bits,
   return result;
 }
 
+void ExpectListIdentical(const std::vector<Neighbor>& got,
+                         const std::vector<Neighbor>& want,
+                         const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(got[r].id, want[r].id) << label << " rank " << r;
+    EXPECT_EQ(got[r].distance, want[r].distance) << label << " rank " << r;
+  }
+}
+
 void ExpectTopKIdentical(const std::vector<std::vector<Neighbor>>& got,
                          const std::vector<std::vector<Neighbor>>& want,
                          const std::string& label) {
   ASSERT_EQ(got.size(), want.size()) << label;
   for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].size(), want[i].size()) << label << " row " << i;
-    for (size_t r = 0; r < got[i].size(); ++r) {
-      EXPECT_EQ(got[i][r].id, want[i][r].id)
-          << label << " row " << i << " rank " << r;
-      EXPECT_EQ(got[i][r].distance, want[i][r].distance)
-          << label << " row " << i << " rank " << r;
-    }
+    ExpectListIdentical(got[i], want[i], label + " row " + std::to_string(i));
   }
 }
 
@@ -98,8 +104,8 @@ TEST(SelfJoinTest, TopKJoinMatchesReferenceAcrossTiersTilesThreads) {
                                     " threads=" + std::to_string(threads) +
                                     " fused=" + std::to_string(fused);
           ExpectTopKIdentical(got, want, label);
-          // Every live pair is disposed exactly once: pruned at a
-          // tile/chunk minimum or scored at the per-pair branch.
+          // Every live (query, candidate) pair is disposed exactly once:
+          // pruned at a sub-chunk minimum or scored.
           EXPECT_EQ(stats.pairs_pruned + stats.pairs_scored,
                     stats.pairs_total)
               << label;
@@ -127,6 +133,110 @@ TEST(SelfJoinTest, TopKJoinTieHeavyCodesMatchReference) {
       ExpectTopKIdentical(TopKJoin(codes, 9, options), want,
                           "ties tile=" + std::to_string(tile) +
                               " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(SelfJoinTest, TopKJoinMatchesPerRowScanWhenDuplicatesOutnumberK) {
+  // 20 rows share one code, far more than k+1 = 6: a late row of that
+  // run is not in its own top-(k+1) (six smaller ids tie ahead of it at
+  // distance 0), so the join must drop the surplus entry rather than
+  // itself. Tombstones sit inside the duplicate run and outside it.
+  Rng rng(83);
+  PackedCodes random =
+      PackedCodes::FromSignMatrix(RandomSignCodes(150, 64, &rng));
+  PackedCodes codes;
+  for (int i = 0; i < random.size(); ++i) {
+    const int src = i >= 30 && i < 50 ? 30 : i;
+    codes.Append(PackedCodes::FromRawWords(
+        1, 64,
+        std::vector<uint64_t>(random.code(src),
+                              random.code(src) + random.words_per_code())));
+  }
+  TombstoneSet dead;
+  dead.Resize(codes.size());
+  for (const int i : {31, 34, 41, 49, 3, 97, 149}) dead.Set(i);
+  constexpr int kK = 5;
+  for (const KernelTier tier : AvailableTiers()) {
+    for (const int tile : {0, 23}) {
+      for (const int threads : {1, 3}) {
+        SelfJoinOptions options;
+        options.force_tier = true;
+        options.tier = tier;
+        options.tile = tile;
+        options.threads = threads;
+        options.tombstones = &dead;
+        const auto got = TopKJoin(codes, kK, options);
+        const std::string label = std::string(KernelTierName(tier)) +
+                                  " tile=" + std::to_string(tile) +
+                                  " threads=" + std::to_string(threads);
+        ASSERT_EQ(got.size(), static_cast<size_t>(codes.size())) << label;
+        for (int i = 0; i < codes.size(); ++i) {
+          if (dead.Test(i)) {
+            EXPECT_TRUE(got[static_cast<size_t>(i)].empty()) << label;
+            continue;
+          }
+          // The per-query serving scan over the corpus minus row i.
+          LinearScanIndex scan(codes);
+          for (int j = 0; j < codes.size(); ++j) {
+            if (dead.Test(j) || j == i) scan.Remove(j);
+          }
+          const std::vector<Neighbor> want = scan.TopK(codes.code(i), kK);
+          ExpectListIdentical(got[static_cast<size_t>(i)], want,
+                              label + " row " + std::to_string(i));
+        }
+      }
+    }
+  }
+}
+
+TEST(SelfJoinTest, BatchTopKMatchesPerQueryScanOnRaggedBlocks) {
+  // n % 16 != 0 and code blocks that are not a multiple of the sub-chunk,
+  // so sub-chunks, 16-lane masks and cache blocks all end mid-way; 20-bit
+  // codes force distance ties, so the ascending-id strict-< rule shows.
+  Rng rng(89);
+  for (const int bits : {20, 64}) {
+    PackedCodes db =
+        PackedCodes::FromSignMatrix(RandomSignCodes(1003, bits, &rng));
+    PackedCodes queries =
+        PackedCodes::FromSignMatrix(RandomSignCodes(37, bits, &rng));
+    TombstoneSet dead;
+    dead.Resize(db.size());
+    for (int i = 5; i < db.size(); i += 7) dead.Set(i);
+    for (const bool with_dead : {false, true}) {
+      LinearScanIndex scan(db);
+      if (with_dead) {
+        for (int i = 5; i < db.size(); i += 7) scan.Remove(i);
+      }
+      for (const KernelTier tier : AvailableTiers()) {
+        for (const int block : {0, 77, 200, 1003 + 16}) {
+          for (const bool fused : {true, false}) {
+            BatchScanOptions options;
+            options.force_tier = true;
+            options.tier = tier;
+            options.code_block = block;
+            options.fused_min = fused;
+            options.tombstones = with_dead ? &dead : nullptr;
+            ScanPairCounts pairs;
+            const auto got = BatchTopK(db, queries, 12, options, &pairs);
+            const std::string label =
+                std::string(KernelTierName(tier)) +
+                " bits=" + std::to_string(bits) +
+                " block=" + std::to_string(block) +
+                " fused=" + std::to_string(fused) +
+                " dead=" + std::to_string(with_dead);
+            ASSERT_EQ(got.size(), static_cast<size_t>(queries.size()));
+            for (int q = 0; q < queries.size(); ++q) {
+              ExpectListIdentical(got[static_cast<size_t>(q)],
+                                  scan.TopK(queries.code(q), 12),
+                                  label + " query " + std::to_string(q));
+            }
+            EXPECT_EQ(pairs.pruned + pairs.scored,
+                      static_cast<int64_t>(queries.size()) * scan.size())
+                << label;
+          }
+        }
+      }
     }
   }
 }

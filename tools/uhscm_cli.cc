@@ -496,7 +496,7 @@ int CmdQuery(const Flags& flags) {
 }
 
 /// dedup: offline all-pairs analytics over a packed-codes artifact via
-/// the tiled self-join engine — k nearest neighbors for every row
+/// the row-blocked self-join engine — k nearest neighbors for every row
 /// (--k), duplicate clusters within a Hamming radius (--radius), or
 /// both. Tombstones in a v2 snapshot are honored: dead rows never join.
 int CmdDedup(const Flags& flags) {
